@@ -50,6 +50,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'Analyze|AppearanceIndex|Measure|Figure5|SUSCBuild|PAMADBuild|OPTSearch' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'Fanout' -benchtime=1x -benchmem ./internal/netcast/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
+	$(GO) test -run '^$$' -bench 'ReplanSuffixEdit' -benchtime=1x -benchmem ./internal/replan/
 	$(GO) run ./cmd/airbench -bench -stride 8 -skipopt -requests 300 -dist sskew \
 		-buildout BENCH_build_new.json -buildbaseline BENCH_build.json \
 		$(if $(BASELINE),-baseline $(BASELINE))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -30,16 +31,29 @@ func NewProgram(gs *GroupSet, channels, length int) (*Program, error) {
 	if length < 1 {
 		return nil, fmt.Errorf("%w: length %d", ErrSlotRange, length)
 	}
+	cells, err := gridCells(channels, length)
+	if err != nil {
+		return nil, err
+	}
 	p := &Program{
 		gs:       gs,
 		channels: channels,
 		length:   length,
-		grid:     make([]PageID, channels*length),
+		grid:     make([]PageID, cells),
 	}
 	for i := range p.grid {
 		p.grid[i] = None
 	}
 	return p, nil
+}
+
+// gridCells returns channels*length for positive dimensions, or a wrapped
+// ErrSlotRange when the product does not fit in an int.
+func gridCells(channels, length int) (int, error) {
+	if channels > math.MaxInt/length {
+		return 0, fmt.Errorf("%w: %d channels x %d slots overflows the grid size", ErrSlotRange, channels, length)
+	}
+	return channels * length, nil
 }
 
 // GroupSet returns the problem instance the program was built for.

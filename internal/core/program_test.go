@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,31 @@ func TestNewProgramValidation(t *testing.T) {
 			if p.At(ch, slot) != None {
 				t.Fatalf("cell (%d,%d) not None", ch, slot)
 			}
+		}
+	}
+}
+
+// TestNewProgramSizeOverflow pins the grid-size guard: a channels*length
+// product that overflows int is an ErrSlotRange, not a silently wrapped
+// (possibly empty) grid, and the guard sits exactly at math.MaxInt.
+func TestNewProgramSizeOverflow(t *testing.T) {
+	gs := fig2GroupSet()
+	for _, dims := range [][2]int{{1 << 32, 1 << 32}, {2, math.MaxInt/2 + 1}, {math.MaxInt, 2}} {
+		p, err := NewProgram(gs, dims[0], dims[1])
+		if !errors.Is(err, ErrSlotRange) {
+			t.Errorf("NewProgram(%d, %d) = %v, %v; want ErrSlotRange", dims[0], dims[1], p, err)
+		}
+	}
+	if n, err := gridCells(1, math.MaxInt); err != nil || n != math.MaxInt {
+		t.Errorf("gridCells(1, MaxInt) = %d, %v; want MaxInt cells", n, err)
+	}
+	for _, channels := range []int{2, 3, 1246, 1 << 31} {
+		limit := math.MaxInt / channels
+		if n, err := gridCells(channels, limit); err != nil || n != channels*limit {
+			t.Errorf("gridCells(%d, %d) = %d, %v; want %d cells", channels, limit, n, err, channels*limit)
+		}
+		if _, err := gridCells(channels, limit+1); !errors.Is(err, ErrSlotRange) {
+			t.Errorf("gridCells(%d, %d) = %v; want ErrSlotRange", channels, limit+1, err)
 		}
 	}
 }

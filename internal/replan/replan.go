@@ -72,9 +72,11 @@ func (k Kind) String() string {
 
 // CellRef is one grid-cell change: the cell and the page involved. Pages
 // in Delta.Cleared carry pre-edit IDs, pages in Delta.Placed post-edit IDs.
+// The fields are 32-bit (12 bytes a cell, like pamad.Cell plus the page):
+// a suffix edit materialises one CellRef per cleared and per placed cell.
 type CellRef struct {
-	Channel int
-	Column  int
+	Channel int32
+	Column  int32
 	Page    core.PageID
 }
 
@@ -148,7 +150,15 @@ type Engine struct {
 	nReal  int
 	placer *pamad.Placer
 	seq    int
+	// cells is the dense accounting scratch of suffix edits, one entry per
+	// grid cell, notCleared at rest. Allocated on the first suffix edit and
+	// again only when the grid size changes.
+	cells []core.PageID
 }
+
+// notCleared marks a scratch cell the current edit did not vacate. It is
+// neither a PageID (>= 0) nor core.None, which stands for a retired page.
+const notCleared core.PageID = core.None - 1
 
 // New derives Algorithm 3 frequencies for gs at nReal channels and builds
 // the checkpointed placement the engine edits in place.
@@ -339,70 +349,113 @@ func (e *Engine) apply(gsNew *core.GroupSet, nReal int, ed edit) (*Delta, error)
 		d.FromGroup = g
 		d.Placed = make([]CellRef, len(placed))
 		for i, c := range placed {
-			d.Placed[i] = CellRef{Channel: int(c.Channel), Column: int(c.Column), Page: ed.added}
+			d.Placed[i] = CellRef{Channel: c.Channel, Column: c.Column, Page: ed.added}
 		}
 		d.PlacedCells = len(d.Placed)
 		d.Added = len(d.Placed)
 		return d, nil
 	}
 
-	// Suffix replay. Annotate the doomed cells with their pre-edit pages
-	// before the replay rewrites the log.
-	d.Cleared = annotate(old.SuffixCells(g), gsOld, sOld, g)
+	// Suffix replay. The vacated cells are annotated with their pre-edit
+	// pages, and their remapped pages recorded in the accounting scratch,
+	// before the replay rewrites the log; the written cells are annotated
+	// and classified against the scratch after it.
+	prog := old.Program()
+	cells, nCh := e.scratch(prog), prog.Channels()
+	d.Cleared = d.vacate(old.SuffixCells(g), gsOld, sOld, g, cells, nCh)
 	placed, err := old.ReplayFrom(g, gsNew, sNew)
+	if err == nil {
+		d.Placed = d.place(placed, gsNew, sNew, g, ed.added, cells, nCh)
+	}
+	release(d.Cleared, cells, nCh)
 	if err != nil {
 		return nil, err
 	}
 	e.seq++
 	d.Kind = KindSuffix
 	d.FromGroup = g
-	d.Placed = annotate(placed, gsNew, sNew, g)
 	d.ClearedCells = len(d.Cleared)
 	d.PlacedCells = len(d.Placed)
-	d.account(ed)
 	return d, nil
 }
 
-// annotate pairs raw placement-log cells with the pages that occupy them:
-// the log order is groups ascending from `from`, pages ascending within a
-// group, k=0..S_i-1 appearances per page.
-func annotate(cells []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int) []CellRef {
-	refs := make([]CellRef, len(cells))
+// scratch returns the accounting scratch sized for prog's grid, every
+// entry notCleared. It is indexed column-major (column*channels + channel,
+// see scratchIndex): placement fills each column bottom-up, so the k-th
+// appearances of consecutive pages land on neighbouring entries.
+func (e *Engine) scratch(prog *core.Program) []core.PageID {
+	if n := prog.Channels() * prog.Length(); len(e.cells) != n {
+		e.cells = make([]core.PageID, n)
+		for i := range e.cells {
+			e.cells[i] = notCleared
+		}
+	}
+	return e.cells
+}
+
+// vacate pairs the placement-log cells an edit is about to clear with their
+// pre-edit pages, counts the retired page's cells as Evicted, and records
+// each cell's remapped page in the accounting scratch of a grid with nCh
+// channels. The log order is groups ascending from `from`, pages ascending
+// within a group, k=0..S_i-1 appearances per page.
+func (d *Delta) vacate(log []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int, cells []core.PageID, nCh int) []CellRef {
+	refs := make([]CellRef, len(log))
 	i := 0
 	for gi := from; gi < gs.Len(); gi++ {
 		first, count := gs.GroupPages(gi)
-		for j := 0; j < count; j++ {
-			id := first + core.PageID(j)
-			for k := 0; k < s[gi]; k++ {
-				c := cells[i]
-				refs[i] = CellRef{Channel: int(c.Channel), Column: int(c.Column), Page: id}
-				i++
+		for id := first; id < first+core.PageID(count); id++ {
+			nid := d.RemapPage(id)
+			if nid == core.None {
+				d.Evicted += s[gi]
+			}
+			for end := i + s[gi]; i < end; i++ {
+				c := log[i]
+				refs[i] = CellRef{Channel: c.Channel, Column: c.Column, Page: id}
+				cells[scratchIndex(c.Channel, c.Column, nCh)] = nid
 			}
 		}
 	}
 	return refs
 }
 
-// account fills the unchanged/moved/added/evicted counters from the
-// cleared and placed cell lists, in O(Δ): lookups only, no map iteration.
-func (d *Delta) account(ed edit) {
-	key := func(ch, col int) int64 { return int64(ch)<<32 | int64(col) }
-	prev := make(map[int64]core.PageID, len(d.Cleared))
-	for _, c := range d.Cleared {
-		nid := d.RemapPage(c.Page)
-		if nid == core.None {
-			d.Evicted++
+// place pairs the placement-log cells a replay wrote with their post-edit
+// pages, in the same log order as vacate, and classifies each against the
+// accounting scratch: Unchanged when the cell held the same page before
+// the edit, Added for the brand-new page, Moved otherwise. A cell the edit
+// did not vacate holds notCleared, which no page equals.
+func (d *Delta) place(log []pamad.Cell, gs *core.GroupSet, s delaymodel.Frequencies, from int, added core.PageID, cells []core.PageID, nCh int) []CellRef {
+	refs := make([]CellRef, len(log))
+	i := 0
+	for gi := from; gi < gs.Len(); gi++ {
+		first, count := gs.GroupPages(gi)
+		for id := first; id < first+core.PageID(count); id++ {
+			for end := i + s[gi]; i < end; i++ {
+				c := log[i]
+				refs[i] = CellRef{Channel: c.Channel, Column: c.Column, Page: id}
+				switch {
+				case cells[scratchIndex(c.Channel, c.Column, nCh)] == id:
+					d.Unchanged++
+				case id == added:
+					d.Added++
+				default:
+					d.Moved++
+				}
+			}
 		}
-		prev[key(c.Channel, c.Column)] = nid
 	}
-	for _, c := range d.Placed {
-		switch {
-		case prev[key(c.Channel, c.Column)] == c.Page:
-			d.Unchanged++
-		case ed.added != core.None && c.Page == ed.added:
-			d.Added++
-		default:
-			d.Moved++
-		}
+	return refs
+}
+
+// release returns the scratch entries of the vacated cells to notCleared,
+// so the scratch is clean for the next edit without an O(grid) reset.
+func release(cleared []CellRef, cells []core.PageID, nCh int) {
+	for _, c := range cleared {
+		cells[scratchIndex(c.Channel, c.Column, nCh)] = notCleared
 	}
+}
+
+// scratchIndex is the accounting-scratch index of (channel, column) in a
+// grid with nCh channels.
+func scratchIndex(channel, column int32, nCh int) int {
+	return int(column)*nCh + int(channel)
 }

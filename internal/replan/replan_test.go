@@ -60,12 +60,12 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 		}
 	}
 	for _, c := range d.Cleared {
-		got, ok := grid[cell{c.Channel, c.Column}]
+		got, ok := grid[cell{int(c.Channel), int(c.Column)}]
 		if !ok || got != c.Page {
 			t.Fatalf("step %d: cleared cell (%d,%d) advertises page %d, grid holds %d",
 				step, c.Channel, c.Column, c.Page, got)
 		}
-		delete(grid, cell{c.Channel, c.Column})
+		delete(grid, cell{int(c.Channel), int(c.Column)})
 	}
 	for k, id := range grid {
 		nid := d.RemapPage(id)
@@ -75,10 +75,10 @@ func applyDelta(t *testing.T, step int, old *core.Program, d *Delta, want *core.
 		grid[k] = nid
 	}
 	for _, c := range d.Placed {
-		if prev, ok := grid[cell{c.Channel, c.Column}]; ok {
+		if prev, ok := grid[cell{int(c.Channel), int(c.Column)}]; ok {
 			t.Fatalf("step %d: placed cell (%d,%d) already holds %d", step, c.Channel, c.Column, prev)
 		}
-		grid[cell{c.Channel, c.Column}] = c.Page
+		grid[cell{int(c.Channel), int(c.Column)}] = c.Page
 	}
 	if len(grid) != want.Filled() {
 		t.Fatalf("step %d: delta application yields %d cells, want %d", step, len(grid), want.Filled())
@@ -119,6 +119,40 @@ func checkAccounting(t *testing.T, step int, d *Delta) {
 	}
 }
 
+// randomEdit is the edit-sequence generator: it draws one event and applies
+// it to eng — a page added to or retired from a random group, group 0's
+// expected time halved or doubled, the channel budget resized to
+// 1..maxChannels, or a no-op resize. It returns a nil Delta and no error
+// when the drawn event does not apply to the live instance (retiring a
+// group's only page, a time that breaks the divisor chain).
+func randomEdit(rng *rand.Rand, eng *Engine, maxChannels int) (*Delta, error) {
+	switch rng.Intn(5) {
+	case 0:
+		return eng.AddPage(rng.Intn(eng.GroupSet().Len()))
+	case 1:
+		g := rng.Intn(eng.GroupSet().Len())
+		if eng.GroupSet().Group(g).Count == 1 {
+			return nil, nil
+		}
+		return eng.RetirePage(g)
+	case 2:
+		gsCur := eng.GroupSet()
+		t0 := gsCur.Group(0).Time
+		tNew := t0 * 2
+		if rng.Intn(2) == 0 && t0%2 == 0 {
+			tNew = t0 / 2
+		}
+		if gsCur.Len() > 1 && (tNew >= gsCur.Group(1).Time || gsCur.Group(1).Time%tNew != 0) {
+			return nil, nil
+		}
+		return eng.SetExpectedTime(0, tNew)
+	case 3:
+		return eng.SetChannels(1 + rng.Intn(maxChannels))
+	default:
+		return eng.SetChannels(eng.Channels())
+	}
+}
+
 // TestEngineMatchesScratchUnderEditSequences is the tentpole differential
 // gate: drive one engine through long random edit sequences — pages added
 // and retired across all groups, deadlines tightened and relaxed, the
@@ -146,35 +180,12 @@ func TestEngineMatchesScratchUnderEditSequences(t *testing.T) {
 
 		for step := 0; step < 60; step++ {
 			before := eng.Snapshot()
-			var d *Delta
-			var evErr error
-			switch rng.Intn(5) {
-			case 0:
-				d, evErr = eng.AddPage(rng.Intn(eng.GroupSet().Len()))
-			case 1:
-				g := rng.Intn(eng.GroupSet().Len())
-				if eng.GroupSet().Group(g).Count == 1 {
-					continue
-				}
-				d, evErr = eng.RetirePage(g)
-			case 2:
-				gsCur := eng.GroupSet()
-				t0 := gsCur.Group(0).Time
-				tNew := t0 * 2
-				if rng.Intn(2) == 0 && t0%2 == 0 {
-					tNew = t0 / 2
-				}
-				if gsCur.Len() > 1 && (tNew >= gsCur.Group(1).Time || gsCur.Group(1).Time%tNew != 0) {
-					continue
-				}
-				d, evErr = eng.SetExpectedTime(0, tNew)
-			case 3:
-				d, evErr = eng.SetChannels(1 + rng.Intn(8))
-			default:
-				d, evErr = eng.SetChannels(eng.Channels())
-			}
+			d, evErr := randomEdit(rng, eng, 8)
 			if evErr != nil {
 				t.Fatalf("run %d step %d: %v", run, step, evErr)
+			}
+			if d == nil {
+				continue
 			}
 			kinds[d.Kind]++
 			if d.Seq != eng.Seq() {
