@@ -173,61 +173,86 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	})
 }
 
-// client is one pending request's delivery state machine.
+// client is one request's delivery state machine. While the client
+// waits, u is its arrival offset within the cycle; once it is resolved
+// (served, given up, or asking for a never-aired page) u holds its wait
+// and the client leaves the calendar.
 type client struct {
-	next     int64 // absolute slot of the pending delivery opportunity
-	glob     int64 // global request index (shard*ShardSize + local)
+	next     int64   // absolute slot of the pending delivery opportunity
+	glob     int64   // global request index (shard*ShardSize + local)
+	u        float64 // arrival offset while pending; the wait once resolved
 	page     core.PageID
-	u        float64
 	k        int32
 	wraps    int32
 	attempts int32
 	ch       int32 // channel of the pending opportunity
+	link     int32 // next client filed under the same slot; -1 ends the chain
 }
 
-// eventHeap is a binary min-heap of clients keyed by next slot. It is
-// hand-rolled (rather than container/heap) so pushes and pops in the
-// million-client hot loop stay devirtualised and allocation-free.
-type eventHeap []client
-
-func (h eventHeap) less(i, j int) bool { return h[i].next < h[j].next }
-
-func (h *eventHeap) push(c client) {
-	*h = append(*h, c)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
+// calendar is a cyclic bucket queue of client indices keyed by next
+// slot. A program is a cyclic grid, so a pending opportunity is never
+// far ahead of the slot being drained: a first opportunity lies in the
+// first two cycles and a retry at most one cycle past the slot it
+// missed. With at least 2·cycleLen+1 buckets, bucket next&mask
+// therefore only ever holds clients due at one slot, and filing and
+// draining cost O(1) per delivery opportunity.
+type calendar struct {
+	heads []int32 // first client filed under each bucket; -1 = empty
+	mask  int64
 }
 
-func (h *eventHeap) pop() client {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && (*h).less(l, small) {
-			small = l
-		}
-		if r < n && (*h).less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
+func newCalendar(cycleLen int) calendar {
+	n := 1
+	for n < 2*cycleLen+1 {
+		n <<= 1
 	}
-	return top
+	heads := make([]int32, n)
+	for i := range heads {
+		heads[i] = -1
+	}
+	return calendar{heads: heads, mask: int64(n) - 1}
+}
+
+// push files clients[i] under its next slot. cur is the slot being
+// drained; an opportunity behind it, or a whole window or more ahead of
+// it, would alias another slot's bucket, so it is a hard error — like a
+// RingLost poll, it means the determinism contract is broken.
+func (q *calendar) push(clients []client, i int32, cur int64) error {
+	c := &clients[i]
+	if d := c.next - cur; d < 0 || d > q.mask {
+		return fmt.Errorf("loadgen: client %d due at slot %d, outside the %d-slot calendar window at slot %d",
+			c.glob, c.next, q.mask+1, cur)
+	}
+	b := c.next & q.mask
+	c.link = q.heads[b]
+	q.heads[b] = i
+	return nil
+}
+
+// take detaches the chain of clients due at slot cur and returns its
+// first index (-1 if none is due).
+func (q *calendar) take(cur int64) int32 {
+	b := cur & q.mask
+	i := q.heads[b]
+	q.heads[b] = -1
+	return i
+}
+
+// partial is one shard's outcome fold, accumulated in request order.
+type partial struct {
+	wait, delay       stats.Online
+	waitSum, delaySum float64
+	misses            int64
+	digest            uint64
+}
+
+// workerOut is what one worker hands back beyond its shards' partials:
+// its fault ledger and its sketch pair. Both merge exactly — the ledger
+// is integer counters, the sketches integer bins plus an exact N, min
+// and max — so neither depends on which worker held which shard.
+type workerOut struct {
+	ledger chaos.Ledger
+	ws, ds *stats.Sketch
 }
 
 // engine carries the shared state of one RunStream measurement.
@@ -243,9 +268,8 @@ type engine struct {
 	maxCycles int
 	active    bool
 
-	waits      []float64
-	attempts   []int32
-	ledgers    []chaos.Ledger
+	partials   []partial
+	outs       []workerOut
 	watermarks []atomic.Int64
 	failed     atomic.Bool
 }
@@ -270,6 +294,12 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	maxCycles := fault.MaxCycles
 	if maxCycles <= 0 {
 		maxCycles = chaos.DefaultMaxCycles
+	}
+	if !fault.Active() && maxCycles < 2 {
+		// Fault-free air never skips, so the engines serve every client
+		// at its first opportunity — up to two cycles out — whatever the
+		// give-up bound.
+		maxCycles = 2
 	}
 	base := &Result{
 		Clients:  stream.Count(),
@@ -314,9 +344,8 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		cycleLen:   prog.Length(),
 		maxCycles:  maxCycles,
 		active:     fault.Active(),
-		waits:      make([]float64, count),
-		attempts:   make([]int32, count),
-		ledgers:    make([]chaos.Ledger, shards),
+		partials:   make([]partial, shards),
+		outs:       make([]workerOut, workers),
 		watermarks: make([]atomic.Int64, workers),
 	}
 
@@ -348,7 +377,7 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		}
 	}
 
-	res, err := eng.fold(base, count, shards)
+	res, err := eng.merge(base, count)
 	if err != nil {
 		return nil, err
 	}
@@ -362,9 +391,9 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 // deterministic function of the plan — pacing itself so no slot a client
 // still needs is ever overwritten: slot abs may air only once every
 // worker's pending watermark is within one ring length of it. Watermarks
-// are per-worker monotone (a heap pops in slot order and every retry
-// reschedules later), so a slot that cleared the gate can never be
-// wanted again.
+// are per-worker monotone (a worker drains its calendar slot by slot and
+// every retry reschedules later), so a slot that cleared the gate can
+// never be wanted again.
 func (e *engine) broadcast(ctx context.Context, caster *netcast.Caster, slots int64) error {
 	ringSlots := int64(e.ring.Slots())
 	for abs := int64(0); abs < slots; abs++ {
@@ -396,35 +425,52 @@ func (e *engine) minWatermark() int64 {
 }
 
 // work runs one client shard-group: build the delivery state machines
-// for every owned shard, then drain them in slot order against the ring.
-// The worker's watermark stays 0 for the whole build phase — a later
-// shard can contribute an earlier first event, so advancing it early
-// would let the broadcaster overwrite a slot a still-unbuilt client
-// needs.
+// for every owned shard, drain them slot by slot against the ring, then
+// fold the outcomes. The worker's watermark stays 0 for the whole build
+// phase — a later shard can contribute an earlier first event, so
+// advancing it early would let the broadcaster overwrite a slot a
+// still-unbuilt client needs.
 func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 	defer e.watermarks[w].Store(math.MaxInt64)
-	heap := make(eventHeap, 0, (e.stream.Count()/workers)+1)
-	cur := e.stream.NewCursor()
+	fail := func(err error) error {
+		e.failed.Store(true)
+		return err
+	}
+	owned := 0
+	for shard := w; shard < shards; shard += workers {
+		owned += min(workload.ShardSize, e.stream.Count()-shard*workload.ShardSize)
+	}
+	if owned > math.MaxInt32 {
+		// Calendar links are int32 client indices.
+		return fail(fmt.Errorf("loadgen: %d clients on one worker, at most %d", owned, math.MaxInt32))
+	}
+	clients := make([]client, 0, owned)
+	var ends []int
+	q := newCalendar(e.cycleLen)
+	// The ledger stays local until the drain ends: workers' outs are
+	// neighbours in memory.
+	var ledger chaos.Ledger
 	L := float64(e.cycleLen)
+	pending := 0
+	cur := e.stream.NewCursor()
 	var r workload.Request
 	for shard := w; shard < shards; shard += workers {
-		ledger := &e.ledgers[shard]
 		cur.Seek(shard)
 		for local := 0; cur.Next(&r); local++ {
 			glob := int64(shard)*workload.ShardSize + int64(local)
 			if r.Page < 0 || int(r.Page) >= e.pages {
-				e.failed.Store(true)
-				return fmt.Errorf("%w: request %d page %d", core.ErrPageRange, glob, r.Page)
+				return fail(fmt.Errorf("%w: request %d page %d", core.ErrPageRange, glob, r.Page))
 			}
 			if r.Arrival < 0 {
-				e.failed.Store(true)
-				return fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, glob, r.Arrival)
+				return fail(fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, glob, r.Arrival))
 			}
+			c := client{glob: glob, page: r.Page, link: -1}
 			u := math.Mod(r.Arrival, L)
 			cols := e.ix.Columns(r.Page)
 			if len(cols) == 0 {
 				// Never-aired page: the engines charge a full cycle.
-				e.waits[glob] = L
+				c.u = L
+				clients = append(clients, c)
 				continue
 			}
 			// First candidate appearance at or after the arrival offset.
@@ -437,48 +483,67 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				k, wraps = 0, 1
 			}
 			if int(wraps) >= e.maxCycles {
-				// Only reachable at MaxCycles 1 with a wrapped arrival:
-				// the engine gives up before the first opportunity.
+				// Only reachable at MaxCycles 1 with a wrapped arrival
+				// under an active plan: the engine gives up before the
+				// first opportunity.
 				ledger.Unserved++
-				e.waits[glob] = float64(e.maxCycles) * L
+				c.u = float64(e.maxCycles) * L
+				clients = append(clients, c)
 				continue
 			}
-			heap.push(client{
-				glob:  glob,
-				page:  r.Page,
-				u:     u,
-				k:     k,
-				wraps: wraps,
-				next:  int64(wraps)*int64(e.cycleLen) + int64(cols[k]),
-				ch:    e.chanOf[r.Page][k],
-			})
+			c.u, c.k, c.wraps = u, k, wraps
+			c.next = int64(wraps)*int64(e.cycleLen) + int64(cols[k])
+			c.ch = e.chanOf[r.Page][k]
+			clients = append(clients, c)
+			if err := q.push(clients, int32(len(clients)-1), 0); err != nil {
+				return fail(err)
+			}
+			pending++
+		}
+		ends = append(ends, len(clients))
+	}
+
+	// aired caches each channel's ring head: the broadcaster runs ahead
+	// of the workers, so one load usually clears many slots.
+	aired := make([]int64, e.ring.Channels())
+	for slot := int64(0); pending > 0; slot++ {
+		i := q.take(slot)
+		if i < 0 {
+			continue
+		}
+		e.watermarks[w].Store(slot)
+		for i >= 0 {
+			c := &clients[i]
+			link := c.link
+			ch := int(c.ch)
+			for aired[ch] <= slot {
+				if aired[ch] = e.ring.Head(ch); aired[ch] > slot {
+					break
+				}
+				if err := ctx.Err(); err != nil {
+					return fail(err)
+				}
+				if e.failed.Load() {
+					return nil
+				}
+				runtime.Gosched()
+			}
+			done, err := e.step(c, &ledger, L)
+			if err != nil {
+				return fail(err)
+			}
+			if done {
+				pending--
+			} else if err := q.push(clients, i, slot); err != nil {
+				return fail(err)
+			}
+			i = link
 		}
 	}
-	for len(heap) > 0 {
-		next := heap[0].next
-		e.watermarks[w].Store(next)
-		ch := int(heap[0].ch)
-		for e.ring.Head(ch) <= next {
-			if err := ctx.Err(); err != nil {
-				e.failed.Store(true)
-				return err
-			}
-			if e.failed.Load() {
-				return nil
-			}
-			runtime.Gosched()
-		}
-		c := heap.pop()
-		done, err := e.step(&c, &e.ledgers[int(c.glob/workload.ShardSize)], L)
-		if err != nil {
-			e.failed.Store(true)
-			return err
-		}
-		if !done {
-			heap.push(c)
-		}
-	}
-	return nil
+	// Drained: release the broadcaster before folding.
+	e.watermarks[w].Store(math.MaxInt64)
+	e.outs[w].ledger = ledger
+	return e.fold(w, workers, clients, ends)
 }
 
 // step resolves one delivery opportunity for client c against the ring,
@@ -532,8 +597,7 @@ func (e *engine) step(c *client, ledger *chaos.Ledger, L float64) (done bool, er
 		}
 		if int(c.wraps) >= e.maxCycles {
 			ledger.Unserved++
-			e.waits[c.glob] = float64(e.maxCycles) * L
-			e.attempts[c.glob] = c.attempts
+			c.u = float64(e.maxCycles) * L
 			return true, nil
 		}
 		c.next = int64(c.wraps)*int64(e.cycleLen) + int64(cols[c.k])
@@ -548,65 +612,77 @@ func (e *engine) step(c *client, ledger *chaos.Ledger, L float64) (done bool, er
 	}
 	// With an inactive plan this adds exactly +0.0, so the fault-free
 	// wait stays bit-identical to the engines' closed-form branch.
-	wait += e.plan.JitterAt(int(abs))
-	e.waits[c.glob] = wait
-	e.attempts[c.glob] = c.attempts
+	c.u = wait + e.plan.JitterAt(int(abs))
 	return true, nil
 }
 
-// fold aggregates the per-request outcomes exactly as the measurement
-// engines do: per-shard partials accumulated in request order, folded in
-// ascending shard order — the float-summation order that makes the
-// result worker-count-independent and engine-identical. The sketches are
-// integer-binned and therefore order-insensitive; one pair fed in fold
-// order equals the engines' merged per-worker sketches.
-func (e *engine) fold(base *Result, count, shards int) (*Result, error) {
+// fold aggregates worker w's resolved clients exactly as the measurement
+// engines do: one partial per owned shard, accumulated in request order
+// (ends[j] closes the j-th owned shard's run of clients), and one sketch
+// pair fed in the same order.
+func (e *engine) fold(w, workers int, clients []client, ends []int) error {
 	L := float64(e.cycleLen)
 	ws, err1 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
 	ds, err2 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
 	if err := errors.Join(err1, err2); err != nil {
-		return nil, err
+		return err
 	}
-
-	var wait, delay stats.Online
-	var waitSum, delaySum float64
-	var misses int64
-	var ledger chaos.Ledger
-	digest := fnvOffset
-	cur := e.stream.NewCursor()
-	var r workload.Request
-	for shard := 0; shard < shards; shard++ {
-		var pw, pd stats.Online
-		var pwSum, pdSum float64
-		var pMisses int64
-		pDigest := fnvOffset
-		cur.Seek(shard)
-		for local := 0; cur.Next(&r); local++ {
-			glob := int64(shard)*workload.ShardSize + int64(local)
-			wv := e.waits[glob]
-			dv := wv - e.times[r.Page]
+	start := 0
+	for j, end := range ends {
+		p := &e.partials[w+j*workers]
+		p.digest = fnvOffset
+		for i := start; i < end; i++ {
+			c := &clients[i]
+			wv := c.u
+			dv := wv - e.times[c.page]
 			if dv < 0 {
 				dv = 0
 			} else if dv > 0 {
-				pMisses++
+				p.misses++
 			}
-			pw.Add(wv)
-			pd.Add(dv)
-			pwSum += wv
-			pdSum += dv
+			p.wait.Add(wv)
+			p.delay.Add(dv)
+			p.waitSum += wv
+			p.delaySum += dv
 			ws.Add(wv)
 			ds.Add(dv)
-			d := fnv64(pDigest, uint64(uint32(r.Page)))
+			d := fnv64(p.digest, uint64(uint32(c.page)))
 			d = fnv64(d, math.Float64bits(wv))
-			pDigest = fnv64(d, uint64(e.attempts[glob]))
+			p.digest = fnv64(d, uint64(c.attempts))
 		}
-		wait.Merge(pw)
-		delay.Merge(pd)
-		waitSum += pwSum
-		delaySum += pdSum
-		misses += pMisses
-		addLedger(&ledger, &e.ledgers[shard])
-		digest = fnv64(digest, pDigest)
+		start = end
+	}
+	e.outs[w].ws, e.outs[w].ds = ws, ds
+	return nil
+}
+
+// merge combines the workers' folds: shard partials in ascending shard
+// order — the float-summation order that makes the result
+// worker-count-independent and engine-identical — then the exact
+// ledgers and sketches.
+func (e *engine) merge(base *Result, count int) (*Result, error) {
+	var wait, delay stats.Online
+	var waitSum, delaySum float64
+	var misses int64
+	digest := fnvOffset
+	for k := range e.partials {
+		p := &e.partials[k]
+		wait.Merge(p.wait)
+		delay.Merge(p.delay)
+		waitSum += p.waitSum
+		delaySum += p.delaySum
+		misses += p.misses
+		digest = fnv64(digest, p.digest)
+	}
+	var ledger chaos.Ledger
+	for w := range e.outs {
+		addLedger(&ledger, &e.outs[w].ledger)
+	}
+	ws, ds := e.outs[0].ws, e.outs[0].ds
+	for _, o := range e.outs[1:] {
+		if err := errors.Join(ws.Merge(o.ws), ds.Merge(o.ds)); err != nil {
+			return nil, err
+		}
 	}
 
 	base.Metrics = sim.Metrics{
