@@ -32,10 +32,12 @@ fuzz:
 	$(GO) test -fuzz='FuzzRearrangeMonotone$$' -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz='FuzzProgramJSON$$'       -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz='FuzzGroupSetJSON$$'      -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -fuzz='FuzzCycleOffset$$'       -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz='FuzzParseFrame$$'        -fuzztime=$(FUZZTIME) ./internal/netcast/
 	$(GO) test -fuzz='FuzzPAMADPlacement$$'    -fuzztime=$(FUZZTIME) ./internal/pamad/
 	$(GO) test -fuzz='FuzzSUSCEquivalence$$'   -fuzztime=$(FUZZTIME) ./internal/susc/
 	$(GO) test -fuzz='FuzzSketchQuantile$$'    -fuzztime=$(FUZZTIME) ./internal/stats/
+	$(GO) test -fuzz='FuzzSketchIndex$$'       -fuzztime=$(FUZZTIME) ./internal/stats/
 	$(GO) test -fuzz='FuzzChaosDeterminism$$'  -fuzztime=$(FUZZTIME) ./internal/chaos/
 	$(GO) test -fuzz='FuzzPTASEquivalence$$'   -fuzztime=$(FUZZTIME) ./internal/opt/
 	$(GO) test -fuzz='FuzzReplanEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/replan/
@@ -51,6 +53,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'Fanout|RunStream' -benchtime=1x -benchmem ./internal/netcast/ ./internal/loadgen/
 	$(GO) test -run '^$$' -bench 'ExactDelay|SuffixDelayTotal' -benchtime=1x -benchmem ./internal/delaymodel/
 	$(GO) test -run '^$$' -bench 'ReplanSuffixEdit' -benchtime=1x -benchmem ./internal/replan/
+	$(GO) test -run '^$$' -bench 'OnlineRun' -benchtime=1x -benchmem ./internal/online/
+	$(GO) test -run '^$$' -bench 'SketchAdd|NewSketch' -benchtime=1x -benchmem ./internal/stats/
 	$(GO) run ./cmd/airbench -bench -stride 8 -skipopt -requests 300 -dist sskew \
 		-buildout BENCH_build_new.json -buildbaseline BENCH_build.json \
 		$(if $(BASELINE),-baseline $(BASELINE))

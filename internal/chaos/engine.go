@@ -262,7 +262,7 @@ func RunParallel(a *core.Analysis, stream workload.Stream, cfg Config, workers i
 						failed.Store(true)
 						return
 					}
-					u := math.Mod(r.Arrival, L)
+					u := core.CycleOffset(r.Arrival, Li)
 					var wait float64
 					attempts := 0
 					cols := ix.Columns(r.Page)
@@ -392,8 +392,8 @@ func RunParallel(a *core.Analysis, stream workload.Stream, cfg Config, workers i
 			AvgWait:   waitSum / float64(count),
 			AvgDelay:  delaySum / float64(count),
 			MissRatio: float64(misses) / float64(count),
-			Wait:      summary(wait, waitSketch),
-			Delay:     summary(delay, delaySketch),
+			Wait:      stats.SummaryOf(wait, waitSketch),
+			Delay:     stats.SummaryOf(delay, delaySketch),
 		},
 		Ledger:      ledger,
 		Misses:      misses,
@@ -434,20 +434,6 @@ func finish(res *Result, plan *Plan, prog *core.Program) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// summary mirrors sim's streamSummary.
-func summary(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
 }
 
 // ChannelTable aligns each page's broadcast channel with its appearance

@@ -77,10 +77,8 @@ func (p *Program) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	prog, err := NewProgram(gs, raw.Channels, raw.Length)
-	if err != nil {
-		return err
-	}
+	// Check the grid's shape before NewProgram allocates channels×length
+	// cells, so the header cannot claim more than the document holds.
 	if len(raw.Grid) != raw.Channels {
 		return fmt.Errorf("%w: %d grid rows for %d channels", ErrInvalidProgram, len(raw.Grid), raw.Channels)
 	}
@@ -88,6 +86,12 @@ func (p *Program) UnmarshalJSON(data []byte) error {
 		if len(row) != raw.Length {
 			return fmt.Errorf("%w: row %d has %d slots, want %d", ErrInvalidProgram, ch, len(row), raw.Length)
 		}
+	}
+	prog, err := NewProgram(gs, raw.Channels, raw.Length)
+	if err != nil {
+		return err
+	}
+	for ch, row := range raw.Grid {
 		for slot, v := range row {
 			if v == int32(None) {
 				continue

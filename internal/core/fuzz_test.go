@@ -2,6 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -118,6 +121,7 @@ func FuzzProgramJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"groups":[{"Time":2,"Count":1}],"channels":1,"length":1,"grid":[[0]]}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(hugeHeaderProgram))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var prog Program
 		if err := json.Unmarshal(data, &prog); err != nil {
@@ -161,4 +165,61 @@ func FuzzGroupSetJSON(f *testing.F) {
 			t.Fatalf("MinChannels = %d", gs.MinChannels())
 		}
 	})
+}
+
+// hugeHeaderProgram claims a 2^20 × 2^20 grid and carries none of it.
+const hugeHeaderProgram = `{"version":1,"groups":[{"Time":2,"Count":1}],"channels":1048576,"length":1048576,"grid":[]}`
+
+// TestProgramJSONRejectsOversizedHeader: a tiny document claiming a huge
+// grid is rejected before anything is sized from its header.
+func TestProgramJSONRejectsOversizedHeader(t *testing.T) {
+	var prog Program
+	if err := json.Unmarshal([]byte(hugeHeaderProgram), &prog); !errors.Is(err, ErrInvalidProgram) {
+		t.Fatalf("Unmarshal = %v, want ErrInvalidProgram", err)
+	}
+}
+
+// FuzzCycleOffset pins CycleOffset to math.Mod bit for bit, around
+// multiples of the cycle length and beyond the exact range.
+func FuzzCycleOffset(f *testing.F) {
+	f.Add(0.0, 1)
+	f.Add(math.Copysign(0, -1), 7)
+	f.Add(827.9999999999999, 414)
+	f.Add(828.0000000000001, 414)
+	f.Add(math.Nextafter(1<<52, 0), 3)
+	f.Add(float64(1<<52), 3)
+	f.Add(1e300, 669)
+	f.Add(math.Inf(1), 5)
+	f.Add(math.NaN(), 5)
+	f.Add(-1.5, 4)
+	f.Fuzz(func(t *testing.T, a float64, length int) {
+		if length <= 0 {
+			length = 1 - length%(1<<31)
+		}
+		L := float64(length)
+		// Also probe one ulp either side of the nearest multiple of L.
+		q := math.Floor(a / L)
+		for _, x := range []float64{a, q * L, math.Nextafter(q*L, math.Inf(-1)), math.Nextafter(q*L, math.Inf(1))} {
+			got, want := CycleOffset(x, length), math.Mod(x, L)
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				t.Fatalf("CycleOffset(%v, %d) = %v, math.Mod = %v", x, length, got, want)
+			}
+		}
+	})
+}
+
+// TestCycleOffsetMatchesMod sweeps arrivals across every magnitude the
+// engines see, and far beyond, for cycle lengths from 1 to 2^20.
+func TestCycleOffsetMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		length := 1 + rng.Intn(1<<uint(rng.Intn(21)))
+		a := math.Ldexp(rng.Float64(), rng.Intn(70)-10)
+		if i%4 == 0 {
+			a = math.Nextafter(float64(rng.Intn(1<<20))*float64(length), math.Inf(2*(i%8/4)-1))
+		}
+		if got, want := CycleOffset(a, length), math.Mod(a, float64(length)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("CycleOffset(%v, %d) = %v, math.Mod = %v", a, length, got, want)
+		}
+	}
 }

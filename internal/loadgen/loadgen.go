@@ -465,7 +465,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 				return fail(fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, glob, r.Arrival))
 			}
 			c := client{glob: glob, page: r.Page, link: -1}
-			u := math.Mod(r.Arrival, L)
+			u := core.CycleOffset(r.Arrival, e.cycleLen)
 			cols := e.ix.Columns(r.Page)
 			if len(cols) == 0 {
 				// Never-aired page: the engines charge a full cycle.
@@ -690,8 +690,8 @@ func (e *engine) merge(base *Result, count int) (*Result, error) {
 		AvgWait:   waitSum / float64(count),
 		AvgDelay:  delaySum / float64(count),
 		MissRatio: float64(misses) / float64(count),
-		Wait:      summarize(wait, ws),
-		Delay:     summarize(delay, ds),
+		Wait:      stats.SummaryOf(wait, ws),
+		Delay:     stats.SummaryOf(delay, ds),
 	}
 	base.Ledger = ledger
 	base.Misses = misses
@@ -736,18 +736,4 @@ func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) 
 		}
 	}
 	return res, nil
-}
-
-// summarize mirrors the engines' summary construction.
-func summarize(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
 }

@@ -9,15 +9,18 @@ import (
 	"tcsa/internal/workload"
 )
 
-// admitted is the request stream bucketed by admission slot: request i of
-// the stream becomes admissible at the start of slot ceil(arrival), and
-// within a bucket requests keep their stream order (the counting sort is
-// stable), so every float accumulation the policies perform has one fixed
-// order regardless of how the stream was generated or sharded.
+// admitted is the request stream drawn once, in stream order, plus its
+// admission order: request i becomes admissible at the start of slot
+// ceil(arr[i]), and within a bucket requests keep their stream order (the
+// counting sort is stable), so every float accumulation the policies
+// perform has one fixed order regardless of how the stream was generated
+// or sharded. Shard k of the stream is [k·ShardSize, (k+1)·ShardSize) of
+// page and arr.
 type admitted struct {
-	page []int32   // page per request, bucket-major, stream order inside
-	arr  []float64 // arrival per request, same order
-	// start[b] .. start[b+1] index the requests of bucket b; len maxBucket+2.
+	page  []int32   // page per request, stream order
+	arr   []float64 // arrival per request, stream order
+	order []int32   // request indices, bucket-major, stream order inside
+	// start[b] .. start[b+1] index the order entries of bucket b; len max+2.
 	start []int32
 	max   int // largest non-empty bucket, -1 when the stream is empty
 }
@@ -40,28 +43,33 @@ func ceilF(x float64) float64 {
 	return i
 }
 
-// admit drains the stream (serially — the decision pass is sequential
+// admit draws the stream once (serially — the decision pass is sequential
 // anyway) and counting-sorts it by admission bucket, stable in stream
 // order. Validation matches sim.MeasureParallel: pages in range, arrivals
-// non-negative and finite.
+// non-negative and finite. Every shard must hold exactly its share of
+// Count, since the measurement pass reads shards back by position.
 func admit(stream workload.Stream, pages int) (*admitted, error) {
 	n := stream.Count()
+	if want := (n + workload.ShardSize - 1) / workload.ShardSize; stream.Shards() != want {
+		return nil, fmt.Errorf("online: stream of %d requests has %d shards, want %d", n, stream.Shards(), want)
+	}
 	ad := &admitted{
 		page: make([]int32, n),
 		arr:  make([]float64, n),
 		max:  -1,
 	}
-	if n == 0 {
-		ad.start = make([]int32, 2)
-		return ad, nil
-	}
 	cur := stream.NewCursor()
 	var r workload.Request
-	// Pass 1: validate, find the bucket span.
-	idx := 0
 	for k := 0; k < stream.Shards(); k++ {
+		base := k * workload.ShardSize
+		size := min(workload.ShardSize, n-base)
 		cur.Seek(k)
-		for cur.Next(&r) {
+		local := 0
+		for ; cur.Next(&r); local++ {
+			if local == size {
+				return nil, fmt.Errorf("online: stream shard %d yields more than its %d requests", k, size)
+			}
+			idx := base + local
 			if r.Page < 0 || int(r.Page) >= pages {
 				return nil, fmt.Errorf("%w: request %d page %d", core.ErrPageRange, idx, r.Page)
 			}
@@ -71,32 +79,29 @@ func admit(stream workload.Stream, pages int) (*admitted, error) {
 			if b := bucketOf(r.Arrival); b > ad.max {
 				ad.max = b
 			}
-			idx++
+			ad.page[idx] = int32(r.Page)
+			ad.arr[idx] = r.Arrival
+		}
+		if local != size {
+			return nil, fmt.Errorf("online: stream shard %d yields %d requests, want %d", k, local, size)
 		}
 	}
 	ad.start = make([]int32, ad.max+2)
-	// Pass 2: count per bucket.
-	for k := 0; k < stream.Shards(); k++ {
-		cur.Seek(k)
-		for cur.Next(&r) {
-			ad.start[bucketOf(r.Arrival)+1]++
-		}
+	for _, a := range ad.arr {
+		ad.start[bucketOf(a)+1]++
 	}
 	for b := 1; b < len(ad.start); b++ {
 		ad.start[b] += ad.start[b-1]
 	}
-	// Pass 3: stable fill in stream order.
-	fill := make([]int32, ad.max+1)
-	copy(fill, ad.start[:ad.max+1])
-	for k := 0; k < stream.Shards(); k++ {
-		cur.Seek(k)
-		for cur.Next(&r) {
-			b := bucketOf(r.Arrival)
-			ad.page[fill[b]] = int32(r.Page)
-			ad.arr[fill[b]] = r.Arrival
-			fill[b]++
-		}
+	ad.order = make([]int32, n)
+	for i, a := range ad.arr {
+		b := bucketOf(a)
+		ad.order[ad.start[b]] = int32(i)
+		ad.start[b]++
 	}
+	// Filling advanced start[b] to the end of bucket b, the start of b+1.
+	copy(ad.start[1:], ad.start[:ad.max+1])
+	ad.start[0] = 0
 	return ad, nil
 }
 
@@ -271,7 +276,7 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 	q := newQueue(prog.GroupSet())
 	pending := len(ad.page)
 	nextAdmit := 0
-	var airings []Airing
+	airings := make([]Airing, 0, airingBound(prog, ad, onlineTo-onlineFrom, cfg.Split.Mode == SplitSteal))
 	stolen := 0
 	horizon := 0
 
@@ -285,8 +290,8 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 		}
 		// Admit this slot's arrival bucket.
 		if s <= ad.max {
-			for i := ad.start[s]; i < ad.start[s+1]; i++ {
-				q.admit(ad.page[i], ad.arr[i])
+			for _, j := range ad.order[ad.start[s]:ad.start[s+1]] {
+				q.admit(ad.page[j], ad.arr[j])
 			}
 			nextAdmit = int(ad.start[s+1])
 		}
@@ -296,7 +301,7 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 			if nextAdmit >= len(ad.page) {
 				break
 			}
-			if nb := bucketOf(ad.arr[nextAdmit]); nb > s+1 {
+			if nb := bucketOf(ad.arr[ad.order[nextAdmit]]); nb > s+1 {
 				s = nb - 1
 			}
 			continue
@@ -347,6 +352,28 @@ func schedule(prog *core.Program, ad *admitted, cfg Config) ([]Airing, int, int,
 	return airings, stolen, horizon, nil
 }
 
+// airingBound caps the airing log so schedule sizes it once. Through the
+// last admission bucket a slot airs at most its online-owned channels plus,
+// when stealing, the grid's empty cells; after it no request arrives, so
+// each page airs at most once more; and every airing clears at least one
+// request.
+func airingBound(prog *core.Program, ad *admitted, online int, steal bool) int {
+	slots := ad.max + 1
+	bound := slots*online + prog.GroupSet().Pages()
+	if steal {
+		empty := 0
+		for ch := 0; ch < prog.Channels(); ch++ {
+			for col := 0; col < prog.Length(); col++ {
+				if prog.At(ch, col) == core.None {
+					empty++
+				}
+			}
+		}
+		bound += core.CeilDiv(slots, prog.Length()) * empty
+	}
+	return min(bound, len(ad.page))
+}
+
 // Run executes the online tier: the serial decision pass fixes the airing
 // timeline, then the sharded measurement pass (bit-identical at any worker
 // count) computes every request's flow time against the combined
@@ -373,7 +400,7 @@ func Run(prog *core.Program, stream workload.Stream, cfg Config) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res, err := measure(prog, stream, airings, cfg)
+	res, err := measure(prog, ad, stream.Sorted(), airings, cfg)
 	if err != nil {
 		return nil, err
 	}

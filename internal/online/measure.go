@@ -102,8 +102,8 @@ type mpartial struct {
 // tier is unambiguous; it also guarantees the min reproduces the decision
 // pass's clearing instants (a waiting request is cleared by whichever tier
 // airs its page first).
-func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg Config) (*Result, error) {
-	count := stream.Count()
+func measure(prog *core.Program, ad *admitted, sorted bool, airings []Airing, cfg Config) (*Result, error) {
+	count := len(ad.page)
 	gs := prog.GroupSet()
 	pages := gs.Pages()
 	res := &Result{Requests: count}
@@ -115,7 +115,7 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shards := stream.Shards()
+	shards := (count + workload.ShardSize - 1) / workload.ShardSize
 	if workers > shards {
 		workers = shards
 	}
@@ -123,9 +123,9 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 	a := core.Analyze(prog)
 	ix := a.Index()
 	air := buildAirIndex(pages, airings)
-	L := float64(prog.Length())
+	length := prog.Length()
+	L := float64(length)
 	pure := cfg.Split.Mode == SplitPureOnline
-	sorted := stream.Sorted()
 	times := make([]float64, pages)
 	for i := range times {
 		times[i] = float64(gs.TimeOf(core.PageID(i)))
@@ -159,14 +159,12 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 			}
 			flowSketches[widx] = fs
 			dfSketches[widx] = ds
-			cur := stream.NewCursor()
 			var pushCursors []pageCursor
 			var onCursors []onlineCursor
 			if sorted {
 				pushCursors = make([]pageCursor, pages)
 				onCursors = make([]onlineCursor, pages)
 			}
-			var r workload.Request
 			for {
 				if failed.Load() {
 					return
@@ -177,35 +175,30 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 				}
 				p := &partials[k]
 				d := fnvOffset
-				cur.Seek(k)
-				for local := 0; cur.Next(&r); local++ {
-					// The decision pass validated the stream; a request it
-					// never saw means the stream is not replayable.
-					if r.Page < 0 || int(r.Page) >= pages || r.Arrival < 0 {
-						p.err = fmt.Errorf("online: stream not replayable: request %d/%d changed to page %d arrival %f",
-							k, local, r.Page, r.Arrival)
-						failed.Store(true)
-						return
-					}
+				base := k * workload.ShardSize
+				end := min(base+workload.ShardSize, count)
+				for i := base; i < end; i++ {
+					page, arr := core.PageID(ad.page[i]), ad.arr[i]
 					flowPush := math.Inf(1)
 					if !pure {
 						// Identical arithmetic to the serial reference's
-						// float64(serveSlot) - arrival: math.Mod is exact,
-						// so both subtractions round the same real number.
-						if cols := ix.Columns(r.Page); len(cols) != 0 {
-							u := math.Mod(r.Arrival, L)
+						// float64(serveSlot) - arrival: the cycle offset is
+						// exact, so both subtractions round the same real
+						// number.
+						if cols := ix.Columns(page); len(cols) != 0 {
+							u := core.CycleOffset(arr, length)
 							if sorted {
-								flowPush = nextSorted(&pushCursors[r.Page], cols, u, L)
+								flowPush = nextSorted(&pushCursors[page], cols, u, L)
 							} else {
-								flowPush = a.NextAfter(r.Page, u)
+								flowPush = a.NextAfter(page, u)
 							}
 						}
 					}
 					var flowOn float64
 					if sorted {
-						flowOn = air.nextSorted(&onCursors[r.Page], r.Page, r.Arrival)
+						flowOn = air.nextSorted(&onCursors[page], page, arr)
 					} else {
-						flowOn = air.nextOnline(r.Page, r.Arrival)
+						flowOn = air.nextOnline(page, arr)
 					}
 					flow := flowPush
 					online := false
@@ -216,11 +209,11 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 					}
 					if math.IsInf(flow, 1) {
 						p.err = fmt.Errorf("online: request %d/%d page %d never served (internal inconsistency)",
-							k, local, r.Page)
+							k, i-base, page)
 						failed.Store(true)
 						return
 					}
-					df := flow / times[r.Page]
+					df := flow / times[page]
 					if df < 1 {
 						df = 1
 					}
@@ -230,7 +223,7 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 					p.dfSum += df
 					fs.Add(flow)
 					ds.Add(df)
-					d = fnv64(d, uint64(uint32(r.Page)))
+					d = fnv64(d, uint64(uint32(page)))
 					d = fnv64(d, math.Float64bits(flow))
 					served := uint64(0)
 					if online {
@@ -238,8 +231,8 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 					}
 					d = fnv64(d, served)
 					if cfg.RecordFlows {
-						flows[k*workload.ShardSize+local] = flow
-						servedOn[k*workload.ShardSize+local] = online
+						flows[i] = flow
+						servedOn[i] = online
 					}
 				}
 				p.digest = d
@@ -290,8 +283,8 @@ func measure(prog *core.Program, stream workload.Stream, airings []Airing, cfg C
 	res.MaxFlow = flow.Max()
 	res.AvgDelayFactor = dfSum / float64(count)
 	res.MaxDelayFactor = df.Max()
-	res.Flow = summaryOf(flow, flowSketch)
-	res.DelayFactor = summaryOf(df, dfSketch)
+	res.Flow = stats.SummaryOf(flow, flowSketch)
+	res.DelayFactor = stats.SummaryOf(df, dfSketch)
 	res.TraceDigest = digest
 	res.Flows = flows
 	res.ServedOnline = servedOn
@@ -319,17 +312,4 @@ func nextSorted(pc *pageCursor, cols []int32, u, L float64) float64 {
 		return float64(cols[0]) + L - u
 	}
 	return float64(cols[k]) - u
-}
-
-func summaryOf(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
 }

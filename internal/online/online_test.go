@@ -3,6 +3,7 @@ package online
 import (
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"tcsa/internal/conformance"
@@ -135,6 +136,112 @@ func TestRunValidation(t *testing.T) {
 	neg := sliceStream([]core.PageID{0}, []float64{-1})
 	if _, err := Run(prog, neg, Config{Split: Split{Mode: SplitPureOnline}}); !errors.Is(err, core.ErrSlotRange) {
 		t.Fatalf("negative arrival: %v", err)
+	}
+}
+
+// seekCounter wraps a stream and counts the Seek calls of each shard
+// across every cursor it hands out.
+type seekCounter struct {
+	workload.Stream
+	seeks []atomic.Int64
+}
+
+func (s *seekCounter) NewCursor() workload.Cursor {
+	return &countingCursor{Cursor: s.Stream.NewCursor(), s: s}
+}
+
+type countingCursor struct {
+	workload.Cursor
+	s *seekCounter
+}
+
+func (c *countingCursor) Seek(k int) {
+	c.s.seeks[k].Add(1)
+	c.Cursor.Seek(k)
+}
+
+// TestRunDrawsStreamOnce: Run reads every shard of its stream exactly
+// once, at any worker count.
+func TestRunDrawsStreamOnce(t *testing.T) {
+	gs := mustGroupSet(t, workload.Uniform, 2, 24, 4, 2)
+	prog, err := susc.Build(gs, gs.MinChannels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := workload.NewPoissonStream(gs, workload.PoissonConfig{
+		RequestConfig: workload.RequestConfig{Count: 2*workload.ShardSize + 100, Seed: 5},
+		Rate:          60,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		stream := &seekCounter{Stream: inner, seeks: make([]atomic.Int64, inner.Shards())}
+		cfg := Config{Policy: LWF, Split: Split{Mode: SplitReserved, OnlineChannels: 1}, Workers: workers}
+		if _, err := Run(prog, stream, cfg); err != nil {
+			t.Fatal(err)
+		}
+		for k := range stream.seeks {
+			if n := stream.seeks[k].Load(); n != 1 {
+				t.Errorf("workers %d: shard %d sought %d times, want 1", workers, k, n)
+			}
+		}
+	}
+}
+
+// shortCount under-reports Count by one, so its last shard yields more
+// than its share.
+type shortCount struct{ workload.Stream }
+
+func (s shortCount) Count() int { return s.Stream.Count() - 1 }
+
+// truncated drops the last request of shard 0.
+type truncated struct{ workload.Stream }
+
+func (s truncated) NewCursor() workload.Cursor { return &truncCursor{Cursor: s.Stream.NewCursor()} }
+
+type truncCursor struct {
+	workload.Cursor
+	left int // requests shard 0 still yields; negative elsewhere
+}
+
+func (c *truncCursor) Seek(k int) {
+	c.left = -1
+	if k == 0 {
+		c.left = workload.ShardSize - 1
+	}
+	c.Cursor.Seek(k)
+}
+
+func (c *truncCursor) Next(r *workload.Request) bool {
+	if c.left == 0 {
+		return false
+	}
+	c.left--
+	return c.Cursor.Next(r)
+}
+
+// TestRunRejectsMisshapenShards: the measurement pass reads shard k back
+// from position k·ShardSize, so a stream whose shards do not hold exactly
+// their share of Count is refused.
+func TestRunRejectsMisshapenShards(t *testing.T) {
+	gs := mustGroupSet(t, workload.Uniform, 2, 8, 4, 2)
+	prog, err := susc.BuildMinimal(gs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := workload.NewStream(gs, prog.Length(), workload.RequestConfig{Count: workload.ShardSize + 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Split: Split{Mode: SplitPureOnline}}
+	if _, err := Run(prog, inner, cfg); err != nil {
+		t.Fatalf("well-formed stream: %v", err)
+	}
+	for name, bad := range map[string]workload.Stream{"long last shard": shortCount{inner}, "short first shard": truncated{inner}} {
+		if _, err := Run(prog, bad, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

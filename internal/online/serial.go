@@ -328,8 +328,8 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 	res.MaxFlow = flow.Max()
 	res.AvgDelayFactor = dfSum / float64(n)
 	res.MaxDelayFactor = df.Max()
-	res.Flow = summaryOf(flow, fs)
-	res.DelayFactor = summaryOf(df, ds)
+	res.Flow = stats.SummaryOf(flow, fs)
+	res.DelayFactor = stats.SummaryOf(df, ds)
 	res.TraceDigest = digest
 	return res, nil
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,7 +103,8 @@ func MeasureParallel(a *core.Analysis, stream workload.Stream, workers int) (*Me
 	gs := a.Program().GroupSet()
 	ix := a.Index()
 	pages := gs.Pages()
-	L := float64(a.Program().Length())
+	length := a.Program().Length()
+	L := float64(length)
 	sorted := stream.Sorted()
 	// Per-page expected times, precomputed once: GroupSet.TimeOf binary-
 	// searches the group table, which is too hot for the per-request loop.
@@ -165,7 +165,7 @@ func MeasureParallel(a *core.Analysis, stream workload.Stream, workers int) (*Me
 					}
 					// The program is cyclic, so arrivals beyond the first
 					// cycle (e.g. Poisson streams) fold back into it.
-					u := math.Mod(r.Arrival, L)
+					u := core.CycleOffset(r.Arrival, length)
 					var wait float64
 					if cols := ix.Columns(r.Page); len(cols) == 0 {
 						wait = L
@@ -235,22 +235,7 @@ func MeasureParallel(a *core.Analysis, stream workload.Stream, workers int) (*Me
 		AvgWait:   waitSum / float64(count),
 		AvgDelay:  delaySum / float64(count),
 		MissRatio: float64(misses) / float64(count),
-		Wait:      streamSummary(wait, waitSketch),
-		Delay:     streamSummary(delay, delaySketch),
+		Wait:      stats.SummaryOf(wait, waitSketch),
+		Delay:     stats.SummaryOf(delay, delaySketch),
 	}, nil
-}
-
-// streamSummary assembles a Summary from the exactly folded moments and
-// the merged quantile sketch.
-func streamSummary(o stats.Online, sk *stats.Sketch) stats.Summary {
-	return stats.Summary{
-		N:      int(o.N()),
-		Mean:   o.Mean(),
-		StdDev: o.StdDev(),
-		Min:    o.Min(),
-		Max:    o.Max(),
-		P50:    sk.Quantile(0.50),
-		P95:    sk.Quantile(0.95),
-		P99:    sk.Quantile(0.99),
-	}
 }

@@ -29,6 +29,7 @@ func TestSketchValidation(t *testing.T) {
 		{1, 2, -0.5},
 		{math.NaN(), 1, 0.01},
 		{1, math.Inf(1), 0.01},
+		{5e-324, 1, 0.01}, // hi/lo overflows
 	}
 	for _, tc := range bad {
 		if _, err := NewSketch(tc.lo, tc.hi, tc.alpha); err == nil {
@@ -283,5 +284,161 @@ func TestSummarizeMatchesPercentile(t *testing.T) {
 				t.Errorf("%s = %g, Percentile = %g", q.name, q.got, want)
 			}
 		}
+	}
+}
+
+// formulaIndex is the logarithmic bucket index the sketch tabulates, the
+// reference its table lookup must reproduce for every finite x > lo.
+func formulaIndex(lo, alpha float64, nbins int, x float64) int {
+	gamma := (1 + alpha) / (1 - alpha)
+	i := int((math.Log(x) - math.Log(lo)) * (1 / math.Log(gamma)))
+	if i < 0 {
+		return 0
+	}
+	if i >= nbins {
+		return nbins - 1
+	}
+	return i
+}
+
+// sketchLayouts are the (lo, hi, alpha) layouts the measurement engines
+// build (sim, chaos and loadgen: (L/2^20, L]; online: (L/2^20, 64L] for
+// flows and (0.5, 4096] for delay factors, all at 1%) plus the edges of
+// the parameter space.
+func sketchLayouts() [][3]float64 {
+	var out [][3]float64
+	for _, L := range []float64{1, 7, 414, 432, 669, 1 << 16} {
+		out = append(out, [3]float64{L / (1 << 20), L, 0.01}, [3]float64{L / (1 << 20), 64 * L, 0.01})
+	}
+	return append(out,
+		[3]float64{0.5, 4096, 0.01},
+		[3]float64{1e-3, 4096, 0.01},
+		[3]float64{5e-324, 1e-16, 0.01},           // subnormal lo
+		[3]float64{0x1p-1030, 0x1p-1000, 0.05},    // subnormal through normal
+		[3]float64{1, math.MaxFloat64, 0.01},      // hi at the top of the range
+		[3]float64{1e300, math.MaxFloat64, 0.001}, // only huge values
+		[3]float64{1, 1000, 1e-4},                 // alpha near 0
+		[3]float64{1e-3, 1e6, 0.999},              // alpha near 1
+		[3]float64{1e-3, 1e6, 1 - 1e-9},           // gamma ~ 2e9
+		[3]float64{1, math.Nextafter(1, 2), 0.01}, // hi one ulp above lo
+		[3]float64{1, 1 + 1e-12, 0.3},             // a range inside one cell
+	)
+}
+
+// TestSketchIndexMatchesFormula checks the table index against the
+// logarithm formula at every bucket boundary ±8 ulps, for every layout.
+func TestSketchIndexMatchesFormula(t *testing.T) {
+	for _, l := range sketchLayouts() {
+		lo, hi, alpha := l[0], l[1], l[2]
+		s, err := NewSketch(lo, hi, alpha)
+		if err != nil {
+			t.Fatalf("NewSketch(%g, %g, %g): %v", lo, hi, alpha, err)
+		}
+		n := len(s.bins)
+		check := func(x float64) {
+			if !(x > lo) || math.IsInf(x, 0) {
+				return
+			}
+			if got, want := s.index(x), formulaIndex(lo, alpha, n, x); got != want {
+				t.Fatalf("layout (%g, %g, %g): index(%v) = %d, formula %d", lo, hi, alpha, x, got, want)
+			}
+		}
+		check(math.Nextafter(lo, math.Inf(1)))
+		check(hi)
+		check(math.MaxFloat64)
+		for _, b := range s.bounds {
+			for d := int64(-8); d <= 8; d++ {
+				check(math.Float64frombits(uint64(b + d)))
+			}
+		}
+	}
+}
+
+// TestSketchNonFinite pins where non-finite observations land: +Inf is
+// above hi and clamps into the last bucket like any other large value
+// (the logarithm formula's int(+Inf) put it in bucket 0 on amd64), and
+// NaN joins it there.
+func TestSketchNonFinite(t *testing.T) {
+	for _, x := range []float64{math.Inf(1), math.NaN()} {
+		s := testSketch(t)
+		s.Add(x)
+		if s.zero != 0 || s.bins[0] != 0 || s.bins[len(s.bins)-1] != 1 {
+			t.Errorf("Add(%v): zero %d, bin 0 = %d, last bin = %d; want only the last bin",
+				x, s.zero, s.bins[0], s.bins[len(s.bins)-1])
+		}
+	}
+	s := testSketch(t)
+	s.Add(math.Inf(-1))
+	if s.zero != 1 {
+		t.Errorf("Add(-Inf) missed the zero bucket")
+	}
+}
+
+// FuzzSketchIndex compares the table index with the logarithm formula at
+// arbitrary points of arbitrary layouts.
+func FuzzSketchIndex(f *testing.F) {
+	f.Add(1e-3, 4096.0, 0.01, 1.0)
+	f.Add(414.0/(1<<20), 414.0*64, 0.01, 113.5)
+	f.Add(0.5, 4096.0, 0.01, 2.0)
+	f.Add(1e-310, 1e-290, 0.2, 1e-300)
+	f.Add(1e290, math.MaxFloat64, 0.5, 1e308)
+	f.Fuzz(func(t *testing.T, lo, hi, alpha, x float64) {
+		if !(alpha >= 1e-3) || !(hi/lo < 1e30) {
+			t.Skip() // keep the bucket count, and so the table, small
+		}
+		s, err := NewSketch(lo, hi, alpha)
+		if err != nil {
+			return
+		}
+		x = math.Abs(x)
+		if !(x > lo) || math.IsInf(x, 0) {
+			return
+		}
+		if got, want := s.index(x), formulaIndex(lo, alpha, len(s.bins), x); got != want {
+			t.Fatalf("layout (%g, %g, %g): index(%v) = %d, formula %d", lo, hi, alpha, x, got, want)
+		}
+	})
+}
+
+// BenchmarkSketchAdd folds log-uniform values over the online flow
+// layout's range, a tenth of them at or below lo.
+func BenchmarkSketchAdd(b *testing.B) {
+	const L = 414.0
+	s, err := NewSketch(L/(1<<20), 64*L, 0.01)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = L * math.Exp(rng.Float64()*18-14)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Add(xs[i&(len(xs)-1)])
+	}
+}
+
+// BenchmarkNewSketch builds each layout the measurement engines use: the
+// wait and delay layout of sim, chaos and loadgen, and the online tier's
+// flow and delay-factor layouts, at a 414-slot cycle.
+func BenchmarkNewSketch(b *testing.B) {
+	const L = 414.0
+	for _, l := range []struct {
+		name          string
+		lo, hi, alpha float64
+	}{
+		{"wait", L / (1 << 20), L, 0.01},
+		{"flow", L / (1 << 20), 64 * L, 0.01},
+		{"factor", 0.5, 4096, 0.01},
+	} {
+		b.Run(l.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewSketch(l.lo, l.hi, l.alpha); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -51,10 +51,12 @@ else
     go test -fuzz=FuzzRearrangeMonotone'$'  -fuzztime="$FUZZTIME" ./internal/core/
     go test -fuzz=FuzzProgramJSON'$'        -fuzztime="$FUZZTIME" ./internal/core/
     go test -fuzz=FuzzGroupSetJSON'$'       -fuzztime="$FUZZTIME" ./internal/core/
+    go test -fuzz=FuzzCycleOffset'$'        -fuzztime="$FUZZTIME" ./internal/core/
     go test -fuzz=FuzzParseFrame'$'         -fuzztime="$FUZZTIME" ./internal/netcast/
     go test -fuzz=FuzzPAMADPlacement'$'     -fuzztime="$FUZZTIME" ./internal/pamad/
     go test -fuzz=FuzzSUSCEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/susc/
     go test -fuzz=FuzzSketchQuantile'$'     -fuzztime="$FUZZTIME" ./internal/stats/
+    go test -fuzz=FuzzSketchIndex'$'        -fuzztime="$FUZZTIME" ./internal/stats/
     go test -fuzz=FuzzChaosDeterminism'$'   -fuzztime="$FUZZTIME" ./internal/chaos/
     go test -fuzz=FuzzPTASEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/opt/
     go test -fuzz=FuzzReplanEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/replan/
