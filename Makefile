@@ -24,8 +24,10 @@ lint-baseline:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The race and fuzz stages are listed here only; scripts/check.sh (and so
+# CI) runs these targets.
 race:
-	$(GO) test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/experiments/... ./cmd/...
+	$(GO) test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/loadgen/... ./internal/experiments/... ./cmd/...
 
 fuzz:
 	$(GO) test -fuzz='FuzzRearrange$$'         -fuzztime=$(FUZZTIME) ./internal/core/

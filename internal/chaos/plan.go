@@ -134,8 +134,9 @@ func (c Config) Active() bool {
 		(c.Burst != nil && (c.Burst.LossGood > 0 || c.Burst.LossBad > 0))
 }
 
-// maxCycles resolves the give-up bound.
-func (c Config) maxCycles() int {
+// CycleBound resolves the give-up bound: MaxCycles, or DefaultMaxCycles
+// when unset.
+func (c Config) CycleBound() int {
 	if c.MaxCycles > 0 {
 		return c.MaxCycles
 	}
@@ -167,7 +168,7 @@ func NewPlan(cfg Config, channels, length int) (*Plan, error) {
 	if cfg.Burst != nil {
 		p.horizon = cfg.Horizon
 		if p.horizon == 0 {
-			p.horizon = (cfg.maxCycles() + 2) * length
+			p.horizon = (cfg.CycleBound() + 2) * length
 			if p.horizon > DefaultHorizonCap {
 				p.horizon = DefaultHorizonCap
 			}
@@ -179,9 +180,6 @@ func NewPlan(cfg Config, channels, length int) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// Config returns the plan's configuration.
-func (p *Plan) Config() Config { return p.cfg }
 
 // splitmix64 is the avalanche finalizer also used by workload's per-shard
 // seeding: a bijection over uint64 whose output bits are uniform.
@@ -351,7 +349,7 @@ func (p *Plan) EffectiveLossRate() float64 {
 	if !p.cfg.Active() {
 		return 0
 	}
-	window := p.cfg.maxCycles() * p.length
+	window := p.cfg.CycleBound() * p.length
 	if window > 1<<16 {
 		window = 1 << 16 // ample for a stable rate estimate, bounded work
 	}

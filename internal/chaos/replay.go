@@ -27,7 +27,7 @@ func Replay(prog *core.Program, reqs []workload.Request, cfg Config) (*sim.Outco
 		// Bound the simulation by the give-up horizon: a client that a
 		// hostile plan starves past MaxCycles cycles is abandoned to the
 		// on-demand channel rather than spinning forever.
-		simCfg.AbandonAfter = float64(cfg.maxCycles()*prog.Length()) / float64(minTime(prog))
+		simCfg.AbandonAfter = float64(cfg.CycleBound()*prog.Length()) / float64(minTime(prog))
 	}
 	out, err := sim.Run(prog, reqs, simCfg)
 	if err != nil {

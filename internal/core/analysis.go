@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Analysis is an immutable snapshot of a program's per-page appearance
 // structure plus the closed-form delay quantities derived from it. Build one
@@ -134,25 +131,15 @@ func (a *Analysis) Appearances(id PageID) []int {
 // program as infinitely repeating. A page broadcast exactly at u is received
 // with zero wait. Pages that never appear wait a full cycle.
 func (a *Analysis) NextAfter(id PageID, u float64) float64 {
-	cols := a.ix.Columns(id)
-	L := float64(a.program.length)
-	if len(cols) == 0 {
-		return L
-	}
-	// First column >= u.
-	target := int32(ceilF(u))
-	k := sort.Search(len(cols), func(i int) bool { return cols[i] >= target })
-	if k == len(cols) {
-		return float64(cols[0]) + L - u
-	}
-	return float64(cols[k]) - u
+	cols, k := ColumnCursor{ix: a.ix}.First(id, u)
+	return WaitAt(cols, k, u, float64(a.program.length))
 }
 
-// ceilF is a dependency-free ceil for non-negative floats. Values at or
+// Ceil is a dependency-free ceil for non-negative floats. Values at or
 // above 2^63 never fit an int64 — that conversion is implementation-defined
 // in Go — but every float64 that large is already integral (the mantissa
 // has 52 fraction bits), so they are their own ceiling.
-func ceilF(x float64) float64 {
+func Ceil(x float64) float64 {
 	if x >= 1<<63 {
 		return x
 	}

@@ -227,8 +227,8 @@ func TestCeilF(t *testing.T) {
 		1e300,
 	}
 	for _, x := range cases {
-		if got, want := ceilF(x), math.Ceil(x); got != want {
-			t.Errorf("ceilF(%g) = %g, want %g", x, got, want)
+		if got, want := Ceil(x), math.Ceil(x); got != want {
+			t.Errorf("Ceil(%g) = %g, want %g", x, got, want)
 		}
 	}
 }

@@ -81,6 +81,78 @@ func (ix *AppearanceIndex) Columns(id PageID) []int32 {
 	return ix.cols[ix.offs[id]:ix.offs[id+1]]
 }
 
+// ColumnCursor finds a page's first appearance column at or after a cycle
+// instant. A searching cursor binary-searches. A walking cursor resumes
+// from the page's previous position, amortised O(1) while a page's
+// instants do not decrease, as in a shard of a sorted stream, and restarts
+// from column 0 when they do. Both return the same index. A walking cursor
+// belongs to one goroutine.
+type ColumnCursor struct {
+	ix  *AppearanceIndex
+	pos []columnPos // per page; nil for a searching cursor
+}
+
+// columnPos is a page's walk state: k, the smallest column index not known
+// to precede prev, the page's previous instant.
+type columnPos struct {
+	k    int32
+	prev float64
+}
+
+// NewCursor returns a walking cursor over ix if sorted, else a searching one.
+func (ix *AppearanceIndex) NewCursor(sorted bool) ColumnCursor {
+	c := ColumnCursor{ix: ix}
+	if sorted {
+		c.pos = make([]columnPos, ix.Pages())
+	}
+	return c
+}
+
+// First returns page id's columns and the index k of the first at or after
+// cycle instant u (0 <= u < Length); k == len(cols) when the next
+// appearance is cols[0] of the following cycle. The receiver is a value so
+// that closures capture cursors without moving them to the heap.
+func (c ColumnCursor) First(id PageID, u float64) (cols []int32, k int32) {
+	cols = c.ix.Columns(id)
+	// Both forms stop at the first k with float64(cols[k]) >= u.
+	if c.pos == nil {
+		lo, hi := 0, len(cols)
+		for lo < hi {
+			m := int(uint(lo+hi) >> 1)
+			if float64(cols[m]) < u {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		return cols, int32(lo)
+	}
+	p := &c.pos[id]
+	if u < p.prev {
+		p.k = 0 // the instant wrapped to a new cycle, or a new shard began
+	}
+	p.prev = u
+	k = p.k
+	for int(k) < len(cols) && float64(cols[k]) < u {
+		k++
+	}
+	p.k = k
+	return cols, k
+}
+
+// WaitAt is the wait from cycle instant u to column k of cols in a cycle
+// of L slots, k as First returns it. A page that never appears waits a
+// full cycle.
+func WaitAt(cols []int32, k int32, u, L float64) float64 {
+	if len(cols) == 0 {
+		return L
+	}
+	if int(k) == len(cols) {
+		return float64(cols[0]) + L - u
+	}
+	return float64(cols[k]) - u
+}
+
 // AppendColumns appends page id's appearance columns to dst and returns the
 // extended slice, for callers that need []int values.
 func (ix *AppearanceIndex) AppendColumns(dst []int, id PageID) []int {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -149,6 +151,50 @@ func TestAppendColumns(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("AppendColumns = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestNextSortedAgreesWithNextAfter cross-checks the walking cursor against
+// the searching one and against NextAfter on adversarial instant sequences:
+// repeats, exact column hits, a cycle wrap, then the whole sequence again
+// as a new shard would replay it into a cursor left at the end of a cycle.
+// The index, its definition and the wait must all agree.
+func TestNextSortedAgreesWithNextAfter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 40; trial++ {
+		p := randomProgram(t, rng, []Group{{2, 2}, {4, 3}, {8, 5}}, 1+rng.Intn(3), 8*(1+rng.Intn(3)))
+		a := Analyze(p)
+		L := float64(p.Length())
+		walk := a.Index().NewCursor(true)
+		search := a.Index().NewCursor(false)
+		for id := 0; id < p.GroupSet().Pages(); id++ {
+			page := PageID(id)
+			cycle := []float64{0, 0, 0.5, L - 0.25}
+			if cols := a.Index().Columns(page); len(cols) > 0 {
+				first, last := float64(cols[0]), float64(cols[len(cols)-1])
+				cycle = append(cycle, first, first, first+0.5, last, last+1e-9)
+			}
+			sort.Float64s(cycle)
+			wrapped := []float64{0.125, 1, L - 1e-9}
+			var us []float64
+			for shard := 0; shard < 2; shard++ {
+				us = append(append(us, cycle...), wrapped...)
+			}
+			for i, u := range us {
+				cols, k := walk.First(page, u)
+				_, ks := search.First(page, u)
+				if k != ks {
+					t.Fatalf("trial %d page %d step %d u=%v: walk index %d, search index %d", trial, id, i, u, k, ks)
+				}
+				if int(k) < len(cols) && float64(cols[k]) < u || k > 0 && float64(cols[k-1]) >= u {
+					t.Fatalf("trial %d page %d u=%v: index %d is not the first column at or after u in %v", trial, id, u, k, cols)
+				}
+				got, want := WaitAt(cols, k, u, L), a.NextAfter(page, u)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d page %d u=%v: cursor wait %v, NextAfter %v", trial, id, u, got, want)
+				}
+			}
 		}
 	}
 }

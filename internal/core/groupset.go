@@ -176,6 +176,18 @@ func (gs *GroupSet) TimeOf(id PageID) int {
 	return gs.groups[g].Time
 }
 
+// ExpectedTimes returns every page's expected time as a float64, indexed
+// by PageID, in one walk over the groups (TimeOf searches them per page).
+func (gs *GroupSet) ExpectedTimes() []float64 {
+	times := make([]float64, gs.Pages())
+	for i, g := range gs.groups {
+		for j := gs.prefix[i]; j < gs.prefix[i+1]; j++ {
+			times[j] = float64(g.Time)
+		}
+	}
+	return times
+}
+
 // PageAt returns the PageID of the j-th page (0-based) of group i (0-based).
 func (gs *GroupSet) PageAt(i, j int) PageID {
 	return PageID(gs.prefix[i] + j)

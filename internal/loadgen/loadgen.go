@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -31,31 +30,9 @@ import (
 	"tcsa/internal/core"
 	"tcsa/internal/netcast"
 	"tcsa/internal/pamad"
-	"tcsa/internal/replan"
 	"tcsa/internal/sim"
-	"tcsa/internal/stats"
 	"tcsa/internal/workload"
 )
-
-// Sketch parameters, identical to sim.MeasureStream's and the chaos
-// engine's: the aggregated sketches must be bit-identical.
-const (
-	sketchQuantileAccuracy = 0.01
-	sketchResolution       = 1 << 20
-)
-
-// FNV-1a 64-bit constants, matching the chaos trace digest.
-const (
-	fnvOffset uint64 = 0xcbf29ce484222325
-	fnvPrime  uint64 = 0x100000001b3
-)
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
-	}
-	return h
-}
 
 // Config describes one load-generation scenario: the paper instance, the
 // client population, and the fault plan.
@@ -238,23 +215,6 @@ func (q *calendar) take(cur int64) int32 {
 	return i
 }
 
-// partial is one shard's outcome fold, accumulated in request order.
-type partial struct {
-	wait, delay       stats.Online
-	waitSum, delaySum float64
-	misses            int64
-	digest            uint64
-}
-
-// workerOut is what one worker hands back beyond its shards' partials:
-// its fault ledger and its sketch pair. Both merge exactly — the ledger
-// is integer counters, the sketches integer bins plus an exact N, min
-// and max — so neither depends on which worker held which shard.
-type workerOut struct {
-	ledger chaos.Ledger
-	ws, ds *stats.Sketch
-}
-
 // engine carries the shared state of one RunStream measurement.
 type engine struct {
 	ring      *netcast.BroadcastRing
@@ -268,8 +228,11 @@ type engine struct {
 	maxCycles int
 	active    bool
 
-	partials   []partial
-	outs       []workerOut
+	// Worker w owns shards w, w+W, … and folds them into their folds
+	// and its sketches[w]; ledgers[w] is its fault ledger.
+	folds      []sim.Fold
+	sketches   []sim.Sketches
+	ledgers    []chaos.Ledger
 	watermarks []atomic.Int64
 	failed     atomic.Bool
 }
@@ -291,10 +254,7 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	if err != nil {
 		return nil, err
 	}
-	maxCycles := fault.MaxCycles
-	if maxCycles <= 0 {
-		maxCycles = chaos.DefaultMaxCycles
-	}
+	maxCycles := fault.CycleBound()
 	if !fault.Active() && maxCycles < 2 {
 		// Fault-free air never skips, so the engines serve every client
 		// at its first opportunity — up to two cycles out — whatever the
@@ -308,17 +268,11 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	}
 	count := stream.Count()
 	if count == 0 {
-		return finish(base, plan, prog)
+		return base, chaos.Finish(&base.Result, plan, prog)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	shards := stream.Shards()
-	if workers > shards {
-		workers = shards
-	}
+	workers := sim.Workers(opts.Workers, shards)
 	ring, err := netcast.NewBroadcastRing(prog.Channels(), opts.RingSlots)
 	if err != nil {
 		return nil, err
@@ -329,23 +283,20 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	}
 
 	gs := prog.GroupSet()
-	times := make([]float64, gs.Pages())
-	for i := range times {
-		times[i] = float64(gs.TimeOf(core.PageID(i)))
-	}
 	eng := &engine{
 		ring:       ring,
 		plan:       plan,
 		ix:         a.Index(),
 		chanOf:     chaos.ChannelTable(prog, a.Index()),
 		stream:     stream,
-		times:      times,
+		times:      gs.ExpectedTimes(),
 		pages:      gs.Pages(),
 		cycleLen:   prog.Length(),
 		maxCycles:  maxCycles,
 		active:     fault.Active(),
-		partials:   make([]partial, shards),
-		outs:       make([]workerOut, workers),
+		folds:      make([]sim.Fold, shards),
+		sketches:   make([]sim.Sketches, workers),
+		ledgers:    make([]chaos.Ledger, workers),
 		watermarks: make([]atomic.Int64, workers),
 	}
 
@@ -376,14 +327,21 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 			return nil, err
 		}
 	}
-
-	res, err := eng.merge(base, count)
+	// Validation errors are filed on their shards' folds: the merge
+	// reports the lowest, whichever worker owned it, as the engines do.
+	total, err := sim.MergeFolds(eng.folds, eng.sketches)
 	if err != nil {
 		return nil, err
 	}
-	res.SlotsAired = slotsAired
-	res.FaultStats = caster.Faults()
-	return finish(res, plan, prog)
+	base.Metrics = total.Metrics(count)
+	for w := range eng.ledgers {
+		base.Ledger.Add(&eng.ledgers[w])
+	}
+	base.Misses = total.N
+	base.TraceDigest = total.Digest
+	base.SlotsAired = slotsAired
+	base.FaultStats = caster.Faults()
+	return base, chaos.Finish(&base.Result, plan, prog)
 }
 
 // broadcast publishes exactly slots slots through the caster — the air
@@ -447,37 +405,33 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 	clients := make([]client, 0, owned)
 	var ends []int
 	q := newCalendar(e.cycleLen)
-	// The ledger stays local until the drain ends: workers' outs are
+	// The ledger stays local until the drain ends: workers' ledgers are
 	// neighbours in memory.
 	var ledger chaos.Ledger
 	L := float64(e.cycleLen)
 	pending := 0
 	cur := e.stream.NewCursor()
+	cc := e.ix.NewCursor(e.stream.Sorted())
 	var r workload.Request
 	for shard := w; shard < shards; shard += workers {
 		cur.Seek(shard)
 		for local := 0; cur.Next(&r); local++ {
 			glob := int64(shard)*workload.ShardSize + int64(local)
-			if r.Page < 0 || int(r.Page) >= e.pages {
-				return fail(fmt.Errorf("%w: request %d page %d", core.ErrPageRange, glob, r.Page))
-			}
-			if r.Arrival < 0 {
-				return fail(fmt.Errorf("%w: request %d arrival %f negative", core.ErrSlotRange, glob, r.Arrival))
+			if r.Page < 0 || int(r.Page) >= e.pages || r.Arrival < 0 {
+				e.folds[shard].Fail(sim.RequestError(r, int(glob), e.pages))
+				return fail(nil)
 			}
 			c := client{glob: glob, page: r.Page, link: -1}
 			u := core.CycleOffset(r.Arrival, e.cycleLen)
-			cols := e.ix.Columns(r.Page)
+			// First candidate appearance at or after the arrival offset:
+			// the engines' cursor, so the engines' index.
+			cols, k := cc.First(r.Page, u)
 			if len(cols) == 0 {
 				// Never-aired page: the engines charge a full cycle.
 				c.u = L
 				clients = append(clients, c)
 				continue
 			}
-			// First candidate appearance at or after the arrival offset.
-			// One comparison form serves both engine branches: for integer
-			// columns, col >= u (float) and col >= ceil(u) (int) select the
-			// same k, and the sorted-cursor walk stops there too.
-			k := int32(sort.Search(len(cols), func(i int) bool { return float64(cols[i]) >= u }))
 			wraps := int32(0)
 			if int(k) == len(cols) {
 				k, wraps = 0, 1
@@ -542,7 +496,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 	}
 	// Drained: release the broadcaster before folding.
 	e.watermarks[w].Store(math.MaxInt64)
-	e.outs[w].ledger = ledger
+	e.ledgers[w] = ledger
 	return e.fold(w, workers, clients, ends)
 }
 
@@ -604,136 +558,32 @@ func (e *engine) step(c *client, ledger *chaos.Ledger, L float64) (done bool, er
 		c.ch = e.chanOf[c.page][c.k]
 		return false, nil
 	}
-	var wait float64
-	if c.wraps == 0 {
-		wait = float64(cols[c.k]) - c.u
-	} else {
-		wait = float64(cols[c.k]) + float64(c.wraps)*L - c.u
-	}
-	// With an inactive plan this adds exactly +0.0, so the fault-free
-	// wait stays bit-identical to the engines' closed-form branch.
-	c.u = wait + e.plan.JitterAt(int(abs))
+	// At wraps 0 the added 0*L is an exact +0.0, and with an inactive
+	// plan so is the jitter: the fault-free wait stays bit-identical to
+	// the engines' closed-form branch.
+	c.u = float64(cols[c.k]) + float64(c.wraps)*L - c.u + e.plan.JitterAt(int(abs))
 	return true, nil
 }
 
-// fold aggregates worker w's resolved clients exactly as the measurement
-// engines do: one partial per owned shard, accumulated in request order
-// (ends[j] closes the j-th owned shard's run of clients), and one sketch
-// pair fed in the same order.
+// fold aggregates worker w's resolved clients into the kernel folds of its
+// owned shards, in request order (ends[j] closes the j-th owned shard's
+// run of clients), exactly as the measurement engines fold them.
 func (e *engine) fold(w, workers int, clients []client, ends []int) error {
-	L := float64(e.cycleLen)
-	ws, err1 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
-	ds, err2 := stats.NewSketch(L/sketchResolution, L, sketchQuantileAccuracy)
-	if err := errors.Join(err1, err2); err != nil {
+	sk, err := sim.WaitLayout(float64(e.cycleLen)).New()
+	if err != nil {
 		return err
 	}
+	e.sketches[w] = sk
 	start := 0
 	for j, end := range ends {
-		p := &e.partials[w+j*workers]
-		p.digest = fnvOffset
+		f := e.sketches[w].Open()
 		for i := start; i < end; i++ {
 			c := &clients[i]
-			wv := c.u
-			dv := wv - e.times[c.page]
-			if dv < 0 {
-				dv = 0
-			} else if dv > 0 {
-				p.misses++
-			}
-			p.wait.Add(wv)
-			p.delay.Add(dv)
-			p.waitSum += wv
-			p.delaySum += dv
-			ws.Add(wv)
-			ds.Add(dv)
-			d := fnv64(p.digest, uint64(uint32(c.page)))
-			d = fnv64(d, math.Float64bits(wv))
-			p.digest = fnv64(d, uint64(c.attempts))
+			f.Add(c.u, f.Delay(c.u, e.times[c.page]))
+			f.Trace(c.page, c.u, uint64(c.attempts))
 		}
+		e.folds[w+j*workers] = f
 		start = end
 	}
-	e.outs[w].ws, e.outs[w].ds = ws, ds
 	return nil
-}
-
-// merge combines the workers' folds: shard partials in ascending shard
-// order — the float-summation order that makes the result
-// worker-count-independent and engine-identical — then the exact
-// ledgers and sketches.
-func (e *engine) merge(base *Result, count int) (*Result, error) {
-	var wait, delay stats.Online
-	var waitSum, delaySum float64
-	var misses int64
-	digest := fnvOffset
-	for k := range e.partials {
-		p := &e.partials[k]
-		wait.Merge(p.wait)
-		delay.Merge(p.delay)
-		waitSum += p.waitSum
-		delaySum += p.delaySum
-		misses += p.misses
-		digest = fnv64(digest, p.digest)
-	}
-	var ledger chaos.Ledger
-	for w := range e.outs {
-		addLedger(&ledger, &e.outs[w].ledger)
-	}
-	ws, ds := e.outs[0].ws, e.outs[0].ds
-	for _, o := range e.outs[1:] {
-		if err := errors.Join(ws.Merge(o.ws), ds.Merge(o.ds)); err != nil {
-			return nil, err
-		}
-	}
-
-	base.Metrics = sim.Metrics{
-		Requests:  count,
-		AvgWait:   waitSum / float64(count),
-		AvgDelay:  delaySum / float64(count),
-		MissRatio: float64(misses) / float64(count),
-		Wait:      stats.SummaryOf(wait, ws),
-		Delay:     stats.SummaryOf(delay, ds),
-	}
-	base.Ledger = ledger
-	base.Misses = misses
-	base.TraceDigest = digest
-	return base, nil
-}
-
-func addLedger(l, o *chaos.Ledger) {
-	l.LostDeliveries += o.LostDeliveries
-	l.CorruptSkips += o.CorruptSkips
-	l.StallSkips += o.StallSkips
-	l.ChurnSkips += o.ChurnSkips
-	l.Retries += o.Retries
-	l.Unserved += o.Unserved
-}
-
-// finish attaches the plan-level quantities exactly as the chaos engine
-// does: effective loss always, the graceful-degradation replan when the
-// config asks for one and the plan degrades capacity below nominal.
-func finish(res *Result, plan *chaos.Plan, prog *core.Program) (*Result, error) {
-	res.EffectiveLoss = plan.EffectiveLossRate()
-	if plan.Config().Replan {
-		eff := plan.EffectiveChannels()
-		if eff < prog.Channels() {
-			eng, err := replan.New(prog.GroupSet(), prog.Channels())
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: degradation replan at %d channels: %w", eff, err)
-			}
-			delta, err := eng.SetChannels(eff)
-			if err != nil {
-				return nil, fmt.Errorf("loadgen: degradation replan at %d channels: %w", eff, err)
-			}
-			res.Result.Replan = &chaos.Replan{
-				EffectiveChannels: eff,
-				Frequencies:       eng.Frequencies(),
-				MajorCycle:        eng.Program().Length(),
-				AnalyticDelay:     eng.Delay(),
-				DeltaKind:         delta.Kind.String(),
-				ClearedCells:      delta.ClearedCells,
-				PlacedCells:       delta.PlacedCells,
-			}
-		}
-	}
-	return res, nil
 }

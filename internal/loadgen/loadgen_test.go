@@ -2,11 +2,14 @@ package loadgen
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tcsa/internal/chaos"
 	"tcsa/internal/core"
+	"tcsa/internal/online"
 	"tcsa/internal/pamad"
 	"tcsa/internal/sim"
 	"tcsa/internal/workload"
@@ -207,6 +210,56 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := RunStream(context.Background(), nil, nil, chaos.Config{}, Options{}); err == nil {
 		t.Error("expected error for nil analysis")
+	}
+}
+
+// TestEnginesReportLowestBadRequest pins one validation error across the
+// four engines: a three-shard stream with out-of-range pages in shards 1
+// and 2 reports the lower request at every worker count, whichever worker
+// owns which shard.
+func TestEnginesReportLowestBadRequest(t *testing.T) {
+	a, stream := scenario(t, 200, 2*workload.ShardSize+6, workload.UniformPages, 0, 5)
+	reqs := make([]workload.Request, 0, stream.Count())
+	cur := stream.NewCursor()
+	var r workload.Request
+	for k := 0; k < stream.Shards(); k++ {
+		cur.Seek(k)
+		for cur.Next(&r) {
+			reqs = append(reqs, r)
+		}
+	}
+	bad := core.PageID(a.Program().GroupSet().Pages())
+	reqs[65539].Page = bad
+	reqs[131077].Page = bad
+	bs := workload.SliceStream(reqs)
+	engines := []struct {
+		name string
+		run  func(workers int) error
+	}{
+		{"sim", func(w int) error {
+			_, err := sim.MeasureParallel(a, bs, w)
+			return err
+		}},
+		{"chaos", func(w int) error {
+			_, err := chaos.RunParallel(a, bs, chaos.Config{}, w)
+			return err
+		}},
+		{"online", func(w int) error {
+			_, err := online.Run(a.Program(), bs, online.Config{Split: online.Split{Mode: online.SplitReserved, OnlineChannels: 1}, Workers: w})
+			return err
+		}},
+		{"loadgen", func(w int) error {
+			_, err := RunStream(context.Background(), a, bs, chaos.Config{}, Options{Workers: w})
+			return err
+		}},
+	}
+	for _, e := range engines {
+		for w := 1; w <= 3; w++ {
+			err := e.run(w)
+			if !errors.Is(err, core.ErrPageRange) || !strings.Contains(err.Error(), "request 65539 page") {
+				t.Errorf("%s at %d workers: got %v, want ErrPageRange at request 65539", e.name, w, err)
+			}
+		}
 	}
 }
 

@@ -28,19 +28,7 @@ type admitted struct {
 // bucketOf is the admission slot of arrival a: the first integer slot at
 // which an airing can serve it (float64(s) >= a).
 func bucketOf(a float64) int {
-	return int(ceilF(a))
-}
-
-// ceilF mirrors core's dependency-free ceiling for non-negative floats.
-func ceilF(x float64) float64 {
-	if x >= 1<<63 {
-		return x
-	}
-	i := float64(int64(x))
-	if i < x {
-		return i + 1
-	}
-	return i
+	return int(core.Ceil(a))
 }
 
 // admit draws the stream once (serially — the decision pass is sequential
@@ -128,11 +116,10 @@ func newQueue(gs *core.GroupSet) *queue {
 		minArr: make([]float64, n),
 		minDL:  make([]float64, n),
 		pos:    make([]int32, n),
-		times:  make([]float64, n),
+		times:  gs.ExpectedTimes(),
 	}
 	for i := range q.pos {
 		q.pos[i] = -1
-		q.times[i] = float64(gs.TimeOf(core.PageID(i)))
 	}
 	return q
 }

@@ -43,6 +43,7 @@ import (
 	"math"
 
 	"tcsa/internal/core"
+	"tcsa/internal/sim"
 	"tcsa/internal/stats"
 )
 
@@ -273,32 +274,12 @@ type Result struct {
 	ServedOnline []bool
 }
 
-// flowSketchSpan is the sketch range multiplier: flows up to
-// flowSketchSpan cycles resolve to ~1% buckets, larger flows clamp into
-// the top bucket (the exact Max is carried separately).
-const flowSketchSpan = 64
-
-// Delay-factor sketch range: factors are >= 1 by definition, so lo = 0.5
-// keeps them out of the sketch's zero bucket; factors beyond dfSketchHi
-// clamp into the top bucket.
-const (
-	dfSketchLo = 0.5
-	dfSketchHi = 4096
-)
-
-// sketchQuantileAccuracy mirrors sim.MeasureStream's bucket width.
-const sketchQuantileAccuracy = 0.01
-
-// FNV-1a 64-bit folding, the repo's standard trace-digest construction
-// (same as chaos.TraceDigest).
-const (
-	fnvOffset uint64 = 0xcbf29ce484222325
-	fnvPrime  uint64 = 0x100000001b3
-)
-
-func fnv64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
-	}
-	return h
+// flowLayout is the flow/delay-factor sketch layout for a cycle of L
+// slots. Flows from the push engines' L/2^20 up to 64 cycles resolve to
+// ~1% buckets; larger flows clamp into the top bucket (the exact Max is
+// carried separately). Delay factors are >= 1 by definition, so lo = 0.5
+// keeps them out of the sketch's zero bucket; factors beyond 4096 clamp
+// into the top bucket.
+func flowLayout(L float64) sim.Layout {
+	return sim.Layout{LoA: L / (1 << 20), HiA: 64 * L, LoB: 0.5, HiB: 4096}
 }

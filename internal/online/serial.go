@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"tcsa/internal/core"
+	"tcsa/internal/sim"
 	"tcsa/internal/stats"
 	"tcsa/internal/workload"
 )
@@ -278,15 +279,15 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 	if n == 0 {
 		return res, nil
 	}
-	fs, err1 := stats.NewSketch(L/(1<<20), flowSketchSpan*L, sketchQuantileAccuracy)
-	ds, err2 := stats.NewSketch(dfSketchLo, dfSketchHi, sketchQuantileAccuracy)
-	if err1 != nil || err2 != nil {
-		return nil, errors.Join(err1, err2)
+	sk, err := flowLayout(L).New()
+	if err != nil {
+		return nil, err
 	}
+	fs, ds := sk.A, sk.B
 	var flow, df stats.Online
 	var flowSum, dfSum float64
 	onlineServed := 0
-	digest := fnvOffset
+	digest := sim.FNVOffset
 	for start := 0; start < n; start += workload.ShardSize {
 		end := start + workload.ShardSize
 		if end > n {
@@ -294,7 +295,7 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 		}
 		var cflow, cdf stats.Online
 		var cflowSum, cdfSum float64
-		d := fnvOffset
+		d := sim.FNVOffset
 		for i := start; i < end; i++ {
 			f := flows[i]
 			v := f / times[pageOf[i]]
@@ -307,20 +308,20 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 			cdfSum += v
 			fs.Add(f)
 			ds.Add(v)
-			d = fnv64(d, uint64(uint32(pageOf[i])))
-			d = fnv64(d, math.Float64bits(f))
+			d = sim.FNV64(d, uint64(uint32(pageOf[i])))
+			d = sim.FNV64(d, math.Float64bits(f))
 			served := uint64(0)
 			if servedOn[i] {
 				served = 1
 				onlineServed++
 			}
-			d = fnv64(d, served)
+			d = sim.FNV64(d, served)
 		}
 		flow.Merge(cflow)
 		df.Merge(cdf)
 		flowSum += cflowSum
 		dfSum += cdfSum
-		digest = fnv64(digest, d)
+		digest = sim.FNV64(digest, d)
 	}
 	res.OnlineServed = onlineServed
 	res.PushServed = n - onlineServed

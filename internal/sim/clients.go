@@ -148,11 +148,8 @@ func Run(prog *core.Program, reqs []workload.Request, cfg Config) (*Outcome, err
 
 	lastArrival := 0.0
 	for i, r := range reqs {
-		if r.Page < 0 || int(r.Page) >= gs.Pages() {
-			return nil, fmt.Errorf("%w: request %d page %d", core.ErrPageRange, i, r.Page)
-		}
-		if r.Arrival < 0 {
-			return nil, fmt.Errorf("%w: request %d arrival %f", core.ErrSlotRange, i, r.Arrival)
+		if r.Page < 0 || int(r.Page) >= gs.Pages() || r.Arrival < 0 {
+			return nil, RequestError(r, i, gs.Pages())
 		}
 		if r.Arrival > lastArrival {
 			lastArrival = r.Arrival

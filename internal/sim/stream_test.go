@@ -360,33 +360,3 @@ func TestMeasureAllocsIndependentOfRequestCount(t *testing.T) {
 		t.Errorf("allocs grew with request count: %v at 128K vs %v at 512K requests", small, big)
 	}
 }
-
-// TestNextSortedAgreesWithNextAfter cross-checks the cursor against the
-// binary search on adversarial arrival sequences (wraps, repeats, exact
-// column hits).
-func TestNextSortedAgreesWithNextAfter(t *testing.T) {
-	gs := fig2()
-	prog, _, err := pamad.Build(gs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := core.Analyze(prog)
-	L := float64(prog.Length())
-	for id := 0; id < gs.Pages(); id++ {
-		cols := a.Index().Columns(core.PageID(id))
-		if len(cols) == 0 {
-			continue
-		}
-		var pc pageCursor
-		// Non-decreasing instants with repeats and exact hits, then a wrap.
-		us := []float64{0, 0, 0.5, float64(cols[0]), float64(cols[0]), L - 0.25}
-		us = append(us, 0.125, 1, L-1e-9) // wrapped cycle
-		for _, u := range us {
-			got := nextSorted(&pc, cols, u, L)
-			want := a.NextAfter(core.PageID(id), u)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("page %d u=%v: cursor %v, NextAfter %v", id, u, got, want)
-			}
-		}
-	}
-}

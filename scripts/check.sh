@@ -22,8 +22,8 @@ go run ./cmd/airvet -baseline lint_baseline.json ./...
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "==> go test -race (concurrent packages)"
-go test -race ./internal/netcast/... ./internal/online/... ./internal/opt/... ./internal/ptas/... ./internal/replan/... ./internal/sim/... ./internal/chaos/... ./internal/experiments/... ./cmd/...
+echo "==> go test -race (concurrent packages: the Makefile's race target)"
+make -s race
 
 echo "==> chaos smoke (determinism gate against BENCH_chaos.json)"
 go run ./cmd/airbench -chaos -chaosout BENCH_chaos_new.json -chaosbaseline BENCH_chaos.json
@@ -46,22 +46,8 @@ go run ./cmd/airbench -hybrid -hybridout BENCH_hybrid_new.json -hybridbaseline B
 if [ "$FUZZTIME" = "0" ]; then
     echo "==> fuzz smoke skipped (FUZZTIME=0)"
 else
-    echo "==> fuzz smoke (${FUZZTIME} per target)"
-    go test -fuzz=FuzzRearrange'$'          -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzRearrangeMonotone'$'  -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzProgramJSON'$'        -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzGroupSetJSON'$'       -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzCycleOffset'$'        -fuzztime="$FUZZTIME" ./internal/core/
-    go test -fuzz=FuzzParseFrame'$'         -fuzztime="$FUZZTIME" ./internal/netcast/
-    go test -fuzz=FuzzPAMADPlacement'$'     -fuzztime="$FUZZTIME" ./internal/pamad/
-    go test -fuzz=FuzzSUSCEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/susc/
-    go test -fuzz=FuzzSketchQuantile'$'     -fuzztime="$FUZZTIME" ./internal/stats/
-    go test -fuzz=FuzzSketchIndex'$'        -fuzztime="$FUZZTIME" ./internal/stats/
-    go test -fuzz=FuzzChaosDeterminism'$'   -fuzztime="$FUZZTIME" ./internal/chaos/
-    go test -fuzz=FuzzPTASEquivalence'$'    -fuzztime="$FUZZTIME" ./internal/opt/
-    go test -fuzz=FuzzReplanEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/replan/
-    go test -fuzz=FuzzOndemandQueue'$'      -fuzztime="$FUZZTIME" ./internal/ondemand/
-    go test -fuzz=FuzzOnlineEquivalence'$'  -fuzztime="$FUZZTIME" ./internal/online/
+    echo "==> fuzz smoke (${FUZZTIME} per target: the Makefile's fuzz target)"
+    make -s fuzz FUZZTIME="$FUZZTIME"
 fi
 
 echo "==> all checks passed"
