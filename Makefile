@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test -fuzz='FuzzGroupSetJSON$$'      -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz='FuzzCycleOffset$$'       -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz='FuzzParseFrame$$'        -fuzztime=$(FUZZTIME) ./internal/netcast/
+	$(GO) test -fuzz='FuzzFrameWords$$'        -fuzztime=$(FUZZTIME) ./internal/netcast/
 	$(GO) test -fuzz='FuzzPAMADPlacement$$'    -fuzztime=$(FUZZTIME) ./internal/pamad/
 	$(GO) test -fuzz='FuzzSUSCEquivalence$$'   -fuzztime=$(FUZZTIME) ./internal/susc/
 	$(GO) test -fuzz='FuzzSketchQuantile$$'    -fuzztime=$(FUZZTIME) ./internal/stats/

@@ -19,7 +19,7 @@ func benchRunStream(b *testing.B, cfg Config) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunStream(context.Background(), a, stream, cfg.Fault, Options{}); err != nil {
+		if _, err := RunStream(context.Background(), a, stream, cfg.Fault, Options{RingSlots: cfg.RingSlots}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,4 +41,10 @@ func BenchmarkRunStreamFaulted(b *testing.B) {
 		Theta:      0.8,
 		Fault:      allFaults(1),
 	})
+}
+
+// BenchmarkRunStreamTinyRing: the zero-fault run through an 8-slot ring,
+// so the broadcaster and the workers park and wake on almost every slot.
+func BenchmarkRunStreamTinyRing(b *testing.B) {
+	benchRunStream(b, Config{Dist: workload.Uniform, RingSlots: 8})
 }

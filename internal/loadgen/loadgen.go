@@ -1,10 +1,10 @@
 // Package loadgen drives large simulated client populations — 100k to
 // 1M+ — through the real broadcast runtime: a netcast.Caster publishes
-// every slot of the program into the in-process netcast.BroadcastRing,
-// and sharded client workers poll their pages' appearance slots out of
-// the ring, classify what they observe (received, lost, corrupt,
-// stalled, churned away) and account waits, deadline misses and the
-// fault ledger.
+// the program slot by slot into the in-process netcast.BroadcastRing
+// until every client has been served, and sharded client workers poll
+// their pages' appearance slots out of the ring, classify what they
+// observe (received, lost, corrupt, stalled, churned away) and account
+// waits, deadline misses and the fault ledger.
 //
 // The package's contract is bit-identity with the measurement engines:
 // the aggregated Result reproduces chaos.RunParallel exactly — same
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -90,12 +89,15 @@ type Result struct {
 	// Channels and CycleLen describe the broadcast program driven.
 	Channels int
 	CycleLen int
-	// SlotsAired is how many slots the caster published (MaxCycles
-	// cycles, always — the air does not stop when clients finish).
+	// SlotsAired is how many slots the caster aired: MaxCycles cycles,
+	// always. The air does not stop when clients finish, but only the
+	// slots up to the last client's drain are encoded into the ring; the
+	// rest are accounted (netcast.Caster.AccountSlots), not published.
 	SlotsAired int64
-	// FaultStats is the server-side fault accounting from the caster;
-	// its classes correspond to the ledger's channel-side skips but count
-	// per (channel, slot), not per waiting client.
+	// FaultStats is the server-side fault accounting from the caster over
+	// all SlotsAired slots, cast or accounted alike, so it is a function of
+	// the plan alone. Its classes correspond to the ledger's channel-side
+	// skips but count per (channel, slot), not per waiting client.
 	FaultStats netcast.FaultStats
 }
 
@@ -235,6 +237,79 @@ type engine struct {
 	ledgers    []chaos.Ledger
 	watermarks []atomic.Int64
 	failed     atomic.Bool
+
+	// marks parks the broadcaster on the watermarks; heads[w] parks
+	// worker w on the ring head.
+	marks gate
+	heads []gate
+}
+
+// gate parks one goroutine until a level other goroutines advance
+// reaches a target: the broadcaster waits for the workers' watermarks,
+// a worker for the ring head. The parked side arms want, then re-reads
+// the level; the advancing side stores the level, then reads want. All
+// four are sequentially consistent atomics, so at least one side sees
+// the other's store and no wake is lost.
+type gate struct {
+	want atomic.Int64  // the parked goroutine's target (positive); 0 when none is parked
+	wake chan struct{} // 1-buffered: a wake never blocks the waker and is never lost
+}
+
+func (g *gate) init() { g.wake = make(chan struct{}, 1) }
+
+// notify wakes the parked goroutine if level meets its target. Disarming
+// with a CAS first makes one park cost at most one send.
+func (g *gate) notify(level int64) {
+	if want := g.want.Load(); want > 0 && level >= want && g.want.CompareAndSwap(want, 0) {
+		g.interrupt()
+	}
+}
+
+// interrupt wakes the parked goroutine, if any, to re-check its state.
+func (g *gate) interrupt() {
+	select {
+	case g.wake <- struct{}{}:
+	default:
+	}
+}
+
+// park blocks until level() reaches target (positive), ctx ends, or the
+// run fails; only the context ending is an error, so a caller must check
+// e.failed after a nil return.
+func (e *engine) park(ctx context.Context, g *gate, target int64, level func() int64) error {
+	for {
+		g.want.Store(target)
+		if level() >= target || e.failed.Load() {
+			g.want.Store(0)
+			return nil
+		}
+		select {
+		case <-g.wake:
+		case <-ctx.Done():
+			g.want.Store(0)
+			return ctx.Err()
+		}
+	}
+}
+
+// fail marks the run failed and wakes every parked goroutine so it sees
+// the flag.
+func (e *engine) fail(err error) error {
+	e.failed.Store(true)
+	e.marks.interrupt()
+	for w := range e.heads {
+		e.heads[w].interrupt()
+	}
+	return err
+}
+
+// mark publishes worker w's watermark and wakes the broadcaster once the
+// slowest watermark reaches its target.
+func (e *engine) mark(w int, slot int64) {
+	e.watermarks[w].Store(slot)
+	if want := e.marks.want.Load(); want > 0 && slot >= want {
+		e.marks.notify(e.minWatermark())
+	}
 }
 
 // RunStream measures stream against the analysed program under the fault
@@ -277,7 +352,13 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	if err != nil {
 		return nil, err
 	}
-	caster, err := netcast.NewCaster(prog, ring, plan)
+	// An inactive plan injects nothing: a nil injector spares the caster
+	// every fault predicate, and makes accounting the unread tail O(1).
+	var inject netcast.FaultInjector
+	if fault.Active() {
+		inject = plan
+	}
+	caster, err := netcast.NewCaster(prog, ring, inject)
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +379,11 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 		sketches:   make([]sim.Sketches, workers),
 		ledgers:    make([]chaos.Ledger, workers),
 		watermarks: make([]atomic.Int64, workers),
+		heads:      make([]gate, workers),
+	}
+	eng.marks.init()
+	for w := range eng.heads {
+		eng.heads[w].init()
 	}
 
 	slotsAired := int64(maxCycles) * int64(prog.Length())
@@ -344,31 +430,49 @@ func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fa
 	return base, chaos.Finish(&base.Result, plan, prog)
 }
 
-// broadcast publishes exactly slots slots through the caster — the air
-// does not stop when clients finish, so the server-side FaultStats are a
-// deterministic function of the plan — pacing itself so no slot a client
-// still needs is ever overwritten: slot abs may air only once every
-// worker's pending watermark is within one ring length of it. Watermarks
-// are per-worker monotone (a worker drains its calendar slot by slot and
-// every retry reschedules later), so a slot that cleared the gate can
-// never be wanted again.
+// broadcast airs exactly slots slots through the caster, so the
+// server-side FaultStats are a deterministic function of the plan. It
+// paces itself so no slot a client still needs is ever overwritten: slot
+// abs may air only once every worker's pending watermark is within one
+// ring length of it. Watermarks are per-worker monotone (a worker drains
+// its calendar slot by slot and every retry reschedules later), so a slot
+// that cleared the gate can never be wanted again. A gated broadcaster
+// parks until the slowest worker has read half the ring. Once every
+// worker has drained, nobody reads the air any more: the remaining slots
+// are accounted, not encoded and published.
 func (e *engine) broadcast(ctx context.Context, caster *netcast.Caster, slots int64) error {
 	ringSlots := int64(e.ring.Slots())
-	for abs := int64(0); abs < slots; abs++ {
-		// abs-ringSlots >= watermark, not abs >= watermark+ringSlots: the
-		// finished-worker watermark is MaxInt64 and must not overflow.
-		for abs-ringSlots >= e.minWatermark() {
-			if err := ctx.Err(); err != nil {
-				e.failed.Store(true)
-				return err
+	half := max(ringSlots/2, 1)
+	abs := int64(0)
+	for abs < slots {
+		wm := e.minWatermark()
+		if wm == math.MaxInt64 {
+			break // every worker has drained, or one failed
+		}
+		// abs-ringSlots >= wm, not abs >= wm+ringSlots: the drained-worker
+		// watermark is MaxInt64 and must not overflow.
+		if abs-ringSlots >= wm {
+			// The wake target is at most abs, and a worker waiting for an
+			// unaired slot has marked a watermark of at least abs, so the
+			// broadcaster and the workers never wait on each other.
+			if err := e.park(ctx, &e.marks, abs-half+1, e.minWatermark); err != nil {
+				return e.fail(err)
 			}
 			if e.failed.Load() {
 				return nil
 			}
-			runtime.Gosched()
+			continue
 		}
 		caster.CastSlot(int(abs))
+		abs++
+		for w := range e.heads {
+			e.heads[w].notify(abs)
+		}
 	}
+	if e.failed.Load() {
+		return nil
+	}
+	caster.AccountSlots(int(abs), int(slots))
 	return nil
 }
 
@@ -389,18 +493,14 @@ func (e *engine) minWatermark() int64 {
 // advancing it early would let the broadcaster overwrite a slot a
 // still-unbuilt client needs.
 func (e *engine) work(ctx context.Context, w, workers, shards int) error {
-	defer e.watermarks[w].Store(math.MaxInt64)
-	fail := func(err error) error {
-		e.failed.Store(true)
-		return err
-	}
+	defer e.mark(w, math.MaxInt64)
 	owned := 0
 	for shard := w; shard < shards; shard += workers {
 		owned += min(workload.ShardSize, e.stream.Count()-shard*workload.ShardSize)
 	}
 	if owned > math.MaxInt32 {
 		// Calendar links are int32 client indices.
-		return fail(fmt.Errorf("loadgen: %d clients on one worker, at most %d", owned, math.MaxInt32))
+		return e.fail(fmt.Errorf("loadgen: %d clients on one worker, at most %d", owned, math.MaxInt32))
 	}
 	clients := make([]client, 0, owned)
 	var ends []int
@@ -419,7 +519,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 			glob := int64(shard)*workload.ShardSize + int64(local)
 			if r.Page < 0 || int(r.Page) >= e.pages || r.Arrival < 0 {
 				e.folds[shard].Fail(sim.RequestError(r, int(glob), e.pages))
-				return fail(nil)
+				return e.fail(nil)
 			}
 			c := client{glob: glob, page: r.Page, link: -1}
 			u := core.CycleOffset(r.Arrival, e.cycleLen)
@@ -450,7 +550,7 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 			c.ch = e.chanOf[r.Page][k]
 			clients = append(clients, c)
 			if err := q.push(clients, int32(len(clients)-1), 0); err != nil {
-				return fail(err)
+				return e.fail(err)
 			}
 			pending++
 		}
@@ -465,37 +565,37 @@ func (e *engine) work(ctx context.Context, w, workers, shards int) error {
 		if i < 0 {
 			continue
 		}
-		e.watermarks[w].Store(slot)
+		e.mark(w, slot)
 		for i >= 0 {
 			c := &clients[i]
 			link := c.link
 			ch := int(c.ch)
-			for aired[ch] <= slot {
-				if aired[ch] = e.ring.Head(ch); aired[ch] > slot {
-					break
+			if aired[ch] <= slot {
+				if aired[ch] = e.ring.Head(ch); aired[ch] <= slot {
+					// Not aired yet: sleep until the broadcaster casts it.
+					if err := e.park(ctx, &e.heads[w], slot+1, func() int64 { return e.ring.Head(ch) }); err != nil {
+						return e.fail(err)
+					}
+					if e.failed.Load() {
+						return nil
+					}
+					aired[ch] = e.ring.Head(ch)
 				}
-				if err := ctx.Err(); err != nil {
-					return fail(err)
-				}
-				if e.failed.Load() {
-					return nil
-				}
-				runtime.Gosched()
 			}
 			done, err := e.step(c, &ledger, L)
 			if err != nil {
-				return fail(err)
+				return e.fail(err)
 			}
 			if done {
 				pending--
 			} else if err := q.push(clients, i, slot); err != nil {
-				return fail(err)
+				return e.fail(err)
 			}
 			i = link
 		}
 	}
 	// Drained: release the broadcaster before folding.
-	e.watermarks[w].Store(math.MaxInt64)
+	e.mark(w, math.MaxInt64)
 	e.ledgers[w] = ledger
 	return e.fold(w, workers, clients, ends)
 }

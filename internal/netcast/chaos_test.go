@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +47,52 @@ func testPlan(t *testing.T, prog *core.Program, cfg chaos.Config) FaultInjector 
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// TestAccountSlotsMatchesCastSlot is the per-slot differential behind a
+// load generator's unread tail: AccountSlots over one slot moves Faults
+// exactly as CastSlot does, but publishes nothing; accounting a range in
+// one call lands on the same counts, and with no injector any range costs
+// O(1).
+func TestAccountSlotsMatchesCastSlot(t *testing.T) {
+	prog := testProgram(t)
+	total := 500 * prog.Length()
+	for _, cfg := range []chaos.Config{
+		{Seed: 3, Loss: 0.2, Corrupt: 0.1, StallEvery: 16, StallFor: 3,
+			Burst: &chaos.BurstConfig{GoodToBad: 0.05, BadToGood: 0.25, LossBad: 0.8}},
+		{Seed: 5, Loss: 0.3},
+		{Seed: 7},
+	} {
+		plan := testPlan(t, prog, cfg)
+		_, cast := ringCaster(t, prog, 8, plan)
+		ring, acct := ringCaster(t, prog, 8, plan)
+		for abs := 0; abs < total; abs++ {
+			cast.CastSlot(abs)
+			acct.AccountSlots(abs, abs+1)
+			if got, want := acct.Faults(), cast.Faults(); got != want {
+				t.Fatalf("%+v slot %d: accounted %+v, cast %+v", cfg, abs, got, want)
+			}
+		}
+		for ch := 0; ch < ring.Channels(); ch++ {
+			if h := ring.Head(ch); h != 0 {
+				t.Fatalf("%+v: AccountSlots moved channel %d's head to %d", cfg, ch, h)
+			}
+		}
+		_, bulk := ringCaster(t, prog, 8, plan)
+		bulk.AccountSlots(0, total)
+		if got, want := bulk.Faults(), cast.Faults(); got != want {
+			t.Errorf("%+v: one-call account %+v, cast %+v", cfg, got, want)
+		}
+		if got := cast.Faults(); (cfg.Loss > 0) != (got.DroppedFrames > 0) ||
+			(cfg.Corrupt > 0) != (got.CorruptFrames > 0) || (cfg.StallEvery > 0) != (got.StalledSlots > 0) {
+			t.Errorf("%+v: cast %+v; a fault class the plan injects never fired", cfg, got)
+		}
+	}
+	_, quiet := ringCaster(t, prog, 8, nil)
+	quiet.AccountSlots(0, math.MaxInt)
+	if f := quiet.Faults(); f != (FaultStats{}) {
+		t.Errorf("nil injector accounted faults %+v", f)
+	}
 }
 
 func TestFrameV1Compat(t *testing.T) {

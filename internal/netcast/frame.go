@@ -75,15 +75,24 @@ type Frame struct {
 // that a corrupted payload byte is caught (a single flipped bit always
 // changes the fold).
 func frameSum(b []byte) uint16 {
-	h := uint32(2166136261)
+	h := uint32(fnvOffset)
 	for i, c := range b {
 		if i == frameSumOff || i == frameSumOff+1 {
 			continue // the checksum's own slot
 		}
-		h = (h ^ uint32(c)) * 16777619
+		h = (h ^ uint32(c)) * fnvPrime
 	}
-	return uint16(h>>16) ^ uint16(h)
+	return sumOf(h)
 }
+
+// FNV-1a's 32-bit offset basis and prime.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// sumOf folds a 32-bit FNV state to the 16-bit frame checksum.
+func sumOf(h uint32) uint16 { return uint16(h>>16) ^ uint16(h) }
 
 // appendFrame encodes f onto buf.
 func appendFrame(buf []byte, f Frame) []byte {
@@ -129,19 +138,41 @@ func packFrameWords(b []byte) (w0, w1 uint64) {
 	return binary.BigEndian.Uint64(b[0:8]), binary.BigEndian.Uint64(b[8:16])
 }
 
+// framePrefix is what every intact version-2 frame on one channel shares:
+// bytes 0-5 (magic, version, flags, channel), which are the top 48 bits of
+// the first packed word and, being ahead of the checksum field, the first
+// six bytes frameSum folds.
+type framePrefix struct {
+	top uint64 // w0>>16 of the channel's frames
+	h   uint32 // frameSum's FNV state after folding bytes 0-5
+}
+
+// newFramePrefix precomputes channel ch's frame prefix.
+func newFramePrefix(ch int) framePrefix {
+	var b [FrameSize]byte
+	w0, _ := packFrameWords(appendFrame(b[:0], Frame{Channel: ch}))
+	return framePrefix{top: w0 >> 16, h: foldWord(fnvOffset, w0, frameSumOff)}
+}
+
 // frameFromWords is parseFrame over the ring's packed representation: the
 // same validation rules, no byte slice, no allocation on any path (the
-// ring's subscriber hot loop calls this once per poll).
-func frameFromWords(w0, w1 uint64) (Frame, bool) {
-	if uint16(w0>>48) != frameMagic {
+// ring's subscriber hot loop calls this once per poll). p is the polled
+// channel's prefix: a frame that starts with it resumes the checksum fold
+// from p.h and folds only its slot and page bytes; any other frame takes
+// the full fold.
+func frameFromWords(w0, w1 uint64, p framePrefix) (Frame, bool) {
+	switch {
+	case w0>>16 == p.top:
+		if uint16(w0) != sumOf(foldWord(p.h, w1, 8)) {
+			return Frame{}, false
+		}
+	case uint16(w0>>48) != frameMagic:
 		return Frame{}, false
-	}
-	switch byte(w0 >> 40) {
-	case frameVersion:
+	case byte(w0>>40) == frameVersion:
 		if uint16(w0) != frameSumWords(w0, w1) {
 			return Frame{}, false
 		}
-	case frameVersionV1:
+	case byte(w0>>40) == frameVersionV1:
 		// Pre-checksum wire format: nothing further to verify.
 	default:
 		return Frame{}, false
@@ -153,22 +184,20 @@ func frameFromWords(w0, w1 uint64) (Frame, bool) {
 	}, true
 }
 
-// frameSumWords is frameSum over the packed words: identical fold,
-// identical skip of the checksum's own bytes.
+// frameSumWords is frameSum over the packed words: the checksum's own
+// bytes are the last two of w0, so the fold takes w0's first six bytes,
+// then all of w1.
 func frameSumWords(w0, w1 uint64) uint16 {
-	h := uint32(2166136261)
-	for i := 0; i < FrameSize; i++ {
-		if i == frameSumOff || i == frameSumOff+1 {
-			continue
-		}
-		w := w0
-		if i >= 8 {
-			w = w1
-		}
-		c := byte(w >> (56 - 8*uint(i%8)))
-		h = (h ^ uint32(c)) * 16777619
+	return sumOf(foldWord(foldWord(fnvOffset, w0, frameSumOff), w1, 8))
+}
+
+// foldWord folds the n most significant bytes of w, high byte first, into
+// the FNV-1a state h.
+func foldWord(h uint32, w uint64, n int) uint32 {
+	for i := 0; i < n; i++ {
+		h = (h ^ uint32(byte(w>>(56-8*uint(i))))) * fnvPrime
 	}
-	return uint16(h>>16) ^ uint16(h)
+	return h
 }
 
 // Control datagrams.

@@ -49,8 +49,9 @@ type ringCell struct {
 // cell so a reader that sees head > abs is guaranteed to find cell abs
 // either stable or already lapped — never mid-write by the same slot.
 type ringChannel struct {
-	head  atomic.Int64
-	cells []ringCell
+	head   atomic.Int64
+	cells  []ringCell
+	prefix framePrefix // the channel's fixed frame bytes, for Poll's checksum
 }
 
 // BroadcastRing is the in-process Transport: a per-channel single-writer
@@ -94,6 +95,7 @@ func NewBroadcastRing(channels, slots int) (*BroadcastRing, error) {
 	}
 	for ch := range r.chans {
 		r.chans[ch].cells = make([]ringCell, n)
+		r.chans[ch].prefix = newFramePrefix(ch)
 	}
 	return r, nil
 }
@@ -165,7 +167,7 @@ func (r *BroadcastRing) Poll(ch int, abs int64) (Frame, PollStatus) {
 		// the words may be torn, discard them.
 		return Frame{}, RingLost
 	}
-	f, ok := frameFromWords(w0, w1)
+	f, ok := frameFromWords(w0, w1, rc.prefix)
 	if !ok {
 		return Frame{}, RingCorrupt
 	}

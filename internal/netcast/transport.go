@@ -73,10 +73,10 @@ type EpochInfo struct {
 // bounded by adaptive.SpliceBounds and checked by the
 // conformance.TransitionBound oracle in the package tests.
 //
-// CastSlot is not safe for concurrent use — one goroutine (the server's
-// tick loop, or a load generator's virtual-time broadcaster) owns the
-// cast sequence. StageProgram, Epoch and Faults may be called
-// concurrently with it.
+// CastSlot and AccountSlots are not safe for concurrent use — one
+// goroutine (the server's tick loop, or a load generator's virtual-time
+// broadcaster) owns the cast sequence. StageProgram, Epoch and Faults may
+// be called concurrently with it.
 type Caster struct {
 	epoch     *EpochInfo                // owned by the cast goroutine
 	published atomic.Pointer[EpochInfo] // last flipped epoch, for observers
@@ -183,6 +183,40 @@ func (c *Caster) CastSlot(abs int) {
 		}
 		c.tr.Publish(ch, abs, c.frame)
 	}
+}
+
+// AccountSlots counts the faults of absolute slots [from, to) exactly as
+// CastSlot would — each slot's stall, drop and corrupt faults, in the
+// same priority order — but encodes and transmits nothing: the transport
+// sees no Publish or Skip, and a staged program does not flip, since none
+// of its frames is sent. A caller whose receivers have all stopped
+// listening finishes a fixed broadcast length with it, so Faults stays a
+// function of the fault schedule alone. With a nil FaultInjector it costs
+// O(1).
+func (c *Caster) AccountSlots(from, to int) {
+	if c.fault == nil {
+		return
+	}
+	var stalled, dropped, corrupt int64
+	channels := c.tr.Channels()
+	for abs := from; abs < to; abs++ {
+		if c.fault.Stalled(abs) {
+			stalled++
+			continue
+		}
+		for ch := 0; ch < channels; ch++ {
+			switch {
+			case !c.tr.NeedsFrame(ch):
+			case c.fault.Drop(ch, abs):
+				dropped++
+			case c.fault.Corrupt(ch, abs):
+				corrupt++
+			}
+		}
+	}
+	c.stalledSlots.Add(stalled)
+	c.droppedFrames.Add(dropped)
+	c.corruptFrames.Add(corrupt)
 }
 
 // Faults reports the faults injected so far. Safe to call concurrently

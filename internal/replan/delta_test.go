@@ -3,6 +3,8 @@ package replan
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"tcsa/internal/core"
@@ -221,6 +223,13 @@ func editPair(tb testing.TB, eng *Engine, g int) (retire, add Kind) {
 // their length; the accounting scratch is reused). The small instance has
 // 1200 pages: at exactly 1000, retiring from groups 0-3 moves t_major and
 // rebuilds, which is not the path pinned here.
+//
+// The count is taken with the collector paused. MemStats.Mallocs is
+// process-wide, and a GC cycle that starts inside the measured runs makes
+// the runtime allocate for itself: a new OS thread when the world
+// restarts, a mark worker, a sudog. Whether a cycle
+// starts there depends on the heap that earlier tests left behind, so
+// under -shuffle the count moved with test order.
 func TestSuffixEditAllocsIndependentOfPages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting in -short mode")
@@ -232,6 +241,8 @@ func TestSuffixEditAllocsIndependentOfPages(t *testing.T) {
 			t.Fatal(err)
 		}
 		retire, add := editPair(t, eng, g)
+		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		return testing.AllocsPerRun(3, func() { editPair(t, eng, g) }), retire, add
 	}
 	for g := 0; g < 8; g++ {
