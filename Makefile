@@ -58,6 +58,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ReplanSuffixEdit' -benchtime=1x -benchmem ./internal/replan/
 	$(GO) test -run '^$$' -bench 'OnlineRun' -benchtime=1x -benchmem ./internal/online/
 	$(GO) test -run '^$$' -bench 'SketchAdd|NewSketch' -benchtime=1x -benchmem ./internal/stats/
+	$(GO) test -run '^$$' -bench 'Fold' -benchtime=1x -benchmem ./internal/sim/
 	$(GO) run ./cmd/airbench -bench -stride 8 -skipopt -requests 300 -dist sskew \
 		-buildout BENCH_build_new.json -buildbaseline BENCH_build.json \
 		$(if $(BASELINE),-baseline $(BASELINE))

@@ -24,8 +24,9 @@ type hybridConfig struct {
 }
 
 // onlineSeries flattens an online result into the float series the
-// trajectory checksum freezes. The FNV trace digest rides along as two
-// 32-bit halves (a uint64 does not fit a float64 exactly).
+// trajectory checksum freezes. The trace digest (sim.Mix chain) rides
+// along as two 32-bit halves (a uint64 does not fit a float64 exactly), so
+// a change of digest moves only those two entries of the series.
 func onlineSeries(res *online.Result) []float64 {
 	return []float64{
 		res.AvgFlow, res.MaxFlow, res.AvgDelayFactor, res.MaxDelayFactor,

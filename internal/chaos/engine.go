@@ -77,8 +77,10 @@ type Result struct {
 	// EffectiveLoss is the plan's observed frame-loss rate.
 	EffectiveLoss float64
 	// TraceDigest fingerprints every per-request outcome (page, wait bits,
-	// attempt count) in shard order: identical seed + config + stream give
-	// an identical digest at any worker count.
+	// attempt count), chained word by word through sim.Mix within a shard
+	// and then across shards in shard order: identical seed + config +
+	// stream give an identical digest at any worker count. loadgen's
+	// results carry the same digest for the same run.
 	TraceDigest uint64
 	// Replan is the graceful-degradation schedule, when Config.Replan is
 	// set and the plan degrades capacity below nominal.
@@ -213,7 +215,7 @@ func RunParallel(a *core.Analysis, stream workload.Stream, cfg Config, workers i
 func Finish(res *Result, plan *Plan, prog *core.Program) error {
 	res.EffectiveLoss = plan.EffectiveLossRate()
 	if plan.cfg.Replan {
-		eff := plan.EffectiveChannels()
+		eff := effectiveChannels(plan.channels, res.EffectiveLoss)
 		if eff < prog.Channels() {
 			eng, err := replan.New(prog.GroupSet(), prog.Channels())
 			if err != nil {

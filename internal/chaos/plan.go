@@ -364,11 +364,11 @@ func (p *Plan) EffectiveLossRate() float64 {
 	return float64(lost) / float64(window*p.channels)
 }
 
-// EffectiveChannels converts the observed loss rate into the usable
-// channel capacity: the nominal count scaled down by the loss rate,
-// floored, never below one channel.
-func (p *Plan) EffectiveChannels() int {
-	n := int(float64(p.channels) * (1 - p.EffectiveLossRate()))
+// effectiveChannels converts an observed loss rate into the usable channel
+// capacity: the nominal count scaled down by the rate, floored, never below
+// one channel.
+func effectiveChannels(channels int, loss float64) int {
+	n := int(float64(channels) * (1 - loss))
 	if n < 1 {
 		n = 1
 	}

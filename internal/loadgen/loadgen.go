@@ -314,9 +314,10 @@ func (e *engine) mark(w int, slot int64) {
 
 // RunStream measures stream against the analysed program under the fault
 // plan, through the in-process ring transport. Metrics, ledger and trace
-// digest are bit-identical to chaos.RunParallel on the same inputs at any
-// worker count; with an inactive fault config they are therefore
-// bit-identical to sim.MeasureStream.
+// digest (TraceDigest: the same sim.Mix chain of per-request page, wait
+// bits and attempts) are bit-identical to chaos.RunParallel on the same
+// inputs at any worker count; with an inactive fault config they are
+// therefore bit-identical to sim.MeasureStream.
 func RunStream(ctx context.Context, a *core.Analysis, stream workload.Stream, fault chaos.Config, opts Options) (*Result, error) {
 	if a == nil {
 		return nil, errors.New("loadgen: nil analysis")

@@ -44,7 +44,7 @@ type summaryView struct {
 	Metrics       sim.Metrics        `json:"metrics"`
 	Misses        int64              `json:"misses"`
 	EffectiveLoss float64            `json:"effective_loss"`
-	TraceDigest   string             `json:"trace_digest"`
+	TraceDigest   string             `json:"trace_digest"` // chaos.Result.TraceDigest, hex
 	SlotsAired    int64              `json:"slots_aired"`
 	Channels      int                `json:"channels"`
 	CycleLen      int                `json:"cycle_len"`

@@ -58,6 +58,14 @@ const (
 // ErrBadFrame reports an undecodable datagram.
 var ErrBadFrame = errors.New("netcast: bad frame")
 
+// MaxChannels is the most channels a frame's 16-bit channel field can
+// name: channels 0 through MaxChannels-1.
+const MaxChannels = 1 << 16
+
+// ErrTooManyChannels reports a program with more than MaxChannels
+// channels, whose higher channels would air under a wrapped number.
+var ErrTooManyChannels = errors.New("netcast: more channels than a frame can name")
+
 // Frame is one slot's transmission on one channel.
 //
 // Encoding (big endian): magic(2) version(1) flags(1) channel(2)

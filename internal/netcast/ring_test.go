@@ -1,6 +1,7 @@
 package netcast
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -68,6 +69,59 @@ func TestCasterValidation(t *testing.T) {
 	}
 	if _, err := NewCaster(prog, ring, nil); err == nil {
 		t.Error("expected error for channel count mismatch")
+	}
+}
+
+// wideTransport is a Transport of any width that keeps only the frame
+// last published on its highest channel, so a test can cast a slot over
+// 65536 channels without a ring behind it.
+type wideTransport struct {
+	channels int
+	top      []byte
+}
+
+func (w *wideTransport) Channels() int          { return w.channels }
+func (w *wideTransport) NeedsFrame(ch int) bool { return true }
+func (w *wideTransport) Skip(ch, abs int)       {}
+func (w *wideTransport) Close() error           { return nil }
+func (w *wideTransport) Publish(ch, abs int, frame []byte) {
+	if ch == w.channels-1 {
+		w.top = append(w.top[:0], frame...)
+	}
+}
+
+// TestCasterChannelLimit: a frame names its channel in 16 bits, so a
+// program of 65536 channels casts its last channel under its own number,
+// and one of 65537, whose last channel would air as channel 0, is refused.
+func TestCasterChannelLimit(t *testing.T) {
+	gs := core.MustGroupSet([]core.Group{{Time: 1, Count: 1}})
+	for _, channels := range []int{MaxChannels, MaxChannels + 1} {
+		prog, err := core.NewProgram(gs, channels, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.Place(channels-1, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		tr := &wideTransport{channels: channels}
+		caster, err := NewCaster(prog, tr, nil)
+		if channels > MaxChannels {
+			if !errors.Is(err, ErrTooManyChannels) {
+				t.Errorf("%d channels: got %v, want ErrTooManyChannels", channels, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d channels: %v", channels, err)
+		}
+		caster.CastSlot(0)
+		f, err := parseFrame(tr.top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Channel != channels-1 || f.Page != 0 {
+			t.Errorf("last channel aired as channel %d page %d, want %d page 0", f.Channel, f.Page, channels-1)
+		}
 	}
 }
 

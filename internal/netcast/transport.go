@@ -2,6 +2,7 @@ package netcast
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"tcsa/internal/core"
@@ -98,6 +99,9 @@ func NewCaster(prog *core.Program, tr Transport, fault FaultInjector) (*Caster, 
 	}
 	if tr == nil {
 		return nil, errors.New("netcast: nil transport")
+	}
+	if prog.Channels() > MaxChannels {
+		return nil, fmt.Errorf("%w: %d channels, at most %d", ErrTooManyChannels, prog.Channels(), MaxChannels)
 	}
 	if tr.Channels() != prog.Channels() {
 		return nil, errors.New("netcast: transport/program channel count mismatch")

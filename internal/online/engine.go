@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"tcsa/internal/core"
+	"tcsa/internal/sim"
 	"tcsa/internal/workload"
 )
 
@@ -31,48 +32,37 @@ func bucketOf(a float64) int {
 	return int(core.Ceil(a))
 }
 
-// admit draws the stream once (serially — the decision pass is sequential
-// anyway) and counting-sorts it by admission bucket, stable in stream
-// order. Validation matches sim.MeasureParallel: pages in range, arrivals
-// non-negative and finite. Every shard must hold exactly its share of
-// Count, since the measurement pass reads shards back by position.
-func admit(stream workload.Stream, pages int) (*admitted, error) {
+// admit draws the stream once and counting-sorts it by admission bucket,
+// stable in stream order. The draw runs on a sim.ShardPool of workers:
+// drawJob.Shard fills shard k's range of page and arr, so the error Run
+// reports, the lowest failing shard's, is the one a serial walk meets
+// first. Every shard must hold exactly its share of Count, since the
+// measurement pass reads shards back by position. The counting sort is
+// serial and recomputes bucketOf: keeping each request's bucket from the
+// draw would cost 4 bytes a request.
+func admit(stream workload.Stream, pages, workers int) (*admitted, error) {
 	n := stream.Count()
-	if want := (n + workload.ShardSize - 1) / workload.ShardSize; stream.Shards() != want {
-		return nil, fmt.Errorf("online: stream of %d requests has %d shards, want %d", n, stream.Shards(), want)
+	shards := (n + workload.ShardSize - 1) / workload.ShardSize
+	if stream.Shards() != shards {
+		return nil, fmt.Errorf("online: stream of %d requests has %d shards, want %d", n, stream.Shards(), shards)
 	}
 	ad := &admitted{
 		page: make([]int32, n),
 		arr:  make([]float64, n),
 		max:  -1,
 	}
-	cur := stream.NewCursor()
-	var r workload.Request
-	for k := 0; k < stream.Shards(); k++ {
-		base := k * workload.ShardSize
-		size := min(workload.ShardSize, n-base)
-		cur.Seek(k)
-		local := 0
-		for ; cur.Next(&r); local++ {
-			if local == size {
-				return nil, fmt.Errorf("online: stream shard %d yields more than its %d requests", k, size)
-			}
-			idx := base + local
-			if r.Page < 0 || int(r.Page) >= pages {
-				return nil, fmt.Errorf("%w: request %d page %d", core.ErrPageRange, idx, r.Page)
-			}
-			if r.Arrival < 0 || math.IsInf(r.Arrival, 0) || math.IsNaN(r.Arrival) {
-				return nil, fmt.Errorf("%w: request %d arrival %f", core.ErrSlotRange, idx, r.Arrival)
-			}
-			if b := bucketOf(r.Arrival); b > ad.max {
-				ad.max = b
-			}
-			ad.page[idx] = int32(r.Page)
-			ad.arr[idx] = r.Arrival
-		}
-		if local != size {
-			return nil, fmt.Errorf("online: stream shard %d yields %d requests, want %d", k, local, size)
-		}
+	j := &drawJob{
+		stream: stream,
+		pages:  pages,
+		ad:     ad,
+		curs:   make([]workload.Cursor, sim.Workers(workers, shards)),
+		maxes:  make([]int, shards),
+	}
+	if err := j.Run(workers, shards, j); err != nil {
+		return nil, err
+	}
+	for _, mx := range j.maxes {
+		ad.max = max(ad.max, mx)
 	}
 	ad.start = make([]int32, ad.max+2)
 	for _, a := range ad.arr {
@@ -91,6 +81,57 @@ func admit(stream workload.Stream, pages int) (*admitted, error) {
 	copy(ad.start[1:], ad.start[:ad.max+1])
 	ad.start[0] = 0
 	return ad, nil
+}
+
+// drawJob draws the stream into an admitted's page and arr arrays, one
+// cursor per worker.
+type drawJob struct {
+	sim.ShardPool
+	stream workload.Stream
+	pages  int
+	ad     *admitted
+	curs   []workload.Cursor
+	maxes  []int // largest admission bucket per shard, -1 when empty
+}
+
+func (j *drawJob) Start(w int) error {
+	j.curs[w] = j.stream.NewCursor()
+	return nil
+}
+
+// Shard draws shard k into [k·ShardSize, …) of page and arr, validating
+// as sim.MeasureParallel does (pages in range, arrivals non-negative and
+// finite) and finding the shard's largest admission bucket.
+func (j *drawJob) Shard(w, k int) error {
+	base := k * workload.ShardSize
+	size := min(workload.ShardSize, len(j.ad.page)-base)
+	page, arr := j.ad.page[base:base+size], j.ad.arr[base:base+size]
+	cur := j.curs[w]
+	cur.Seek(k)
+	mx := -1
+	var r workload.Request
+	local := 0
+	for ; cur.Next(&r); local++ {
+		if local == size {
+			return fmt.Errorf("online: stream shard %d yields more than its %d requests", k, size)
+		}
+		if r.Page < 0 || int(r.Page) >= j.pages {
+			return fmt.Errorf("%w: request %d page %d", core.ErrPageRange, base+local, r.Page)
+		}
+		if r.Arrival < 0 || math.IsInf(r.Arrival, 0) || math.IsNaN(r.Arrival) {
+			return fmt.Errorf("%w: request %d arrival %f", core.ErrSlotRange, base+local, r.Arrival)
+		}
+		if b := bucketOf(r.Arrival); b > mx {
+			mx = b
+		}
+		page[local] = int32(r.Page)
+		arr[local] = r.Arrival
+	}
+	if local != size {
+		return fmt.Errorf("online: stream shard %d yields %d requests, want %d", k, local, size)
+	}
+	j.maxes[k] = mx
+	return nil
 }
 
 // queue is the live per-page request queue of the decision pass. Per-page
@@ -379,7 +420,7 @@ func Run(prog *core.Program, stream workload.Stream, cfg Config) (*Result, error
 	if cfg.Policy < LWF || cfg.Policy > FCFS {
 		return nil, fmt.Errorf("online: unknown policy %d", int(cfg.Policy))
 	}
-	ad, err := admit(stream, prog.GroupSet().Pages())
+	ad, err := admit(stream, prog.GroupSet().Pages(), cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

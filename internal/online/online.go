@@ -261,8 +261,9 @@ type Result struct {
 	DelayFactor stats.Summary
 
 	// TraceDigest fingerprints every per-request outcome (page, flow
-	// bits, serving tier) in shard order; bit-identical at any worker
-	// count.
+	// bits, serving tier), chained word by word through sim.Mix within a
+	// shard and then across shards in shard order; bit-identical at any
+	// worker count.
 	TraceDigest uint64
 
 	// Airings is the online airing log, in (slot, channel) order.

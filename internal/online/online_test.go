@@ -139,14 +139,16 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// seekCounter wraps a stream and counts the Seek calls of each shard
-// across every cursor it hands out.
+// seekCounter wraps a stream and counts the cursors it hands out and the
+// Seek calls of each shard across all of them; workers draw concurrently.
 type seekCounter struct {
 	workload.Stream
-	seeks []atomic.Int64
+	cursors atomic.Int64
+	seeks   []atomic.Int64
 }
 
 func (s *seekCounter) NewCursor() workload.Cursor {
+	s.cursors.Add(1)
 	return &countingCursor{Cursor: s.Stream.NewCursor(), s: s}
 }
 
@@ -161,7 +163,7 @@ func (c *countingCursor) Seek(k int) {
 }
 
 // TestRunDrawsStreamOnce: Run reads every shard of its stream exactly
-// once, at any worker count.
+// once, at any worker count, on one cursor per drawing worker.
 func TestRunDrawsStreamOnce(t *testing.T) {
 	gs := mustGroupSet(t, workload.Uniform, 2, 24, 4, 2)
 	prog, err := susc.Build(gs, gs.MinChannels())
@@ -185,6 +187,9 @@ func TestRunDrawsStreamOnce(t *testing.T) {
 			if n := stream.seeks[k].Load(); n != 1 {
 				t.Errorf("workers %d: shard %d sought %d times, want 1", workers, k, n)
 			}
+		}
+		if n, want := stream.cursors.Load(), int64(min(workers, inner.Shards())); n != want {
+			t.Errorf("workers %d: %d cursors, want %d", workers, n, want)
 		}
 	}
 }
@@ -234,13 +239,15 @@ func TestRunRejectsMisshapenShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Split: Split{Mode: SplitPureOnline}}
-	if _, err := Run(prog, inner, cfg); err != nil {
-		t.Fatalf("well-formed stream: %v", err)
-	}
-	for name, bad := range map[string]workload.Stream{"long last shard": shortCount{inner}, "short first shard": truncated{inner}} {
-		if _, err := Run(prog, bad, cfg); err == nil {
-			t.Errorf("%s accepted", name)
+	for workers := 1; workers <= 3; workers++ {
+		cfg := Config{Split: Split{Mode: SplitPureOnline}, Workers: workers}
+		if _, err := Run(prog, inner, cfg); err != nil {
+			t.Fatalf("workers %d: well-formed stream: %v", workers, err)
+		}
+		for name, bad := range map[string]workload.Stream{"long last shard": shortCount{inner}, "short first shard": truncated{inner}} {
+			if _, err := Run(prog, bad, cfg); err == nil {
+				t.Errorf("workers %d: %s accepted", workers, name)
+			}
 		}
 	}
 }

@@ -270,7 +270,7 @@ func RunSerial(prog *core.Program, stream workload.Stream, cfg Config) (*Result,
 
 // summarizeSerial folds per-request outcomes exactly the way the parallel
 // measurement pass does — per-shard left-to-right sums and Welford moments
-// merged in ascending shard order, one sketch, per-shard FNV digests folded
+// merged in ascending shard order, one sketch, per-shard digests chained
 // in shard order — so a bit-identical Result is the expected outcome, not a
 // lucky one.
 func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, times []float64, L float64) (*Result, error) {
@@ -287,7 +287,7 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 	var flow, df stats.Online
 	var flowSum, dfSum float64
 	onlineServed := 0
-	digest := sim.FNVOffset
+	digest := sim.DigestOffset
 	for start := 0; start < n; start += workload.ShardSize {
 		end := start + workload.ShardSize
 		if end > n {
@@ -295,7 +295,7 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 		}
 		var cflow, cdf stats.Online
 		var cflowSum, cdfSum float64
-		d := sim.FNVOffset
+		d := sim.DigestOffset
 		for i := start; i < end; i++ {
 			f := flows[i]
 			v := f / times[pageOf[i]]
@@ -308,20 +308,20 @@ func summarizeSerial(pageOf []core.PageID, flows []float64, servedOn []bool, tim
 			cdfSum += v
 			fs.Add(f)
 			ds.Add(v)
-			d = sim.FNV64(d, uint64(uint32(pageOf[i])))
-			d = sim.FNV64(d, math.Float64bits(f))
+			d = sim.Mix(d, uint64(uint32(pageOf[i])))
+			d = sim.Mix(d, math.Float64bits(f))
 			served := uint64(0)
 			if servedOn[i] {
 				served = 1
 				onlineServed++
 			}
-			d = sim.FNV64(d, served)
+			d = sim.Mix(d, served)
 		}
 		flow.Merge(cflow)
 		df.Merge(cdf)
 		flowSum += cflowSum
 		dfSum += cdfSum
-		digest = sim.FNV64(digest, d)
+		digest = sim.Mix(digest, d)
 	}
 	res.OnlineServed = onlineServed
 	res.PushServed = n - onlineServed

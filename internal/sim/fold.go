@@ -54,7 +54,7 @@ func (l Layout) New() (Sketches, error) {
 
 // Open starts a shard's Fold, feeding sk.
 func (sk *Sketches) Open() Fold {
-	return Fold{Digest: FNVOffset, sk: sk}
+	return Fold{Digest: DigestOffset, sk: sk}
 }
 
 // Fold accumulates one shard's outcome pairs (A, B): wait and delay, or
@@ -63,6 +63,7 @@ func (sk *Sketches) Open() Fold {
 // and stores it in the shard's slot once done: neighbouring slots share
 // cache lines. SumA and SumB are left-to-right sums, so that a one-shard
 // stream reproduces the historical stats.Mean arithmetic bit for bit.
+// Digest chains the shard's requests through Mix.
 type Fold struct {
 	A, B       stats.Online
 	SumA, SumB float64
@@ -98,9 +99,9 @@ func (f *Fold) Delay(wait, t float64) float64 {
 // Trace chains one request into the shard digest: its page, the bits of
 // its measured value and an engine-defined tag (attempts, serving tier).
 func (f *Fold) Trace(page core.PageID, x float64, tag uint64) {
-	d := FNV64(f.Digest, uint64(uint32(page)))
-	d = FNV64(d, math.Float64bits(x))
-	f.Digest = FNV64(d, tag)
+	d := Mix(f.Digest, uint64(uint32(page)))
+	d = Mix(d, math.Float64bits(x))
+	f.Digest = Mix(d, tag)
 }
 
 // Fail records err against f's shard; see MergeFolds.
@@ -124,19 +125,23 @@ func (f *Fold) Metrics(count int) Metrics {
 	return m
 }
 
-// FNV-1a 64-bit constants, the family of the perf-report series checksums.
-// FNVOffset starts a digest chain.
-const (
-	FNVOffset uint64 = 0xcbf29ce484222325
-	fnvPrime  uint64 = 0x100000001b3
-)
+// DigestOffset starts a digest chain.
+const DigestOffset uint64 = 0xcbf29ce484222325
 
-// FNV64 folds the eight little-endian bytes of v into FNV-1a state h.
-func FNV64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(v>>(8*i)))) * fnvPrime
-	}
-	return h
+// mixMul is odd (so multiplying by it is invertible mod 2^64) with
+// well-spread bits: 2^64 over the golden ratio.
+const mixMul uint64 = 0x9e3779b97f4a7c15
+
+// Mix folds word w into digest state h: one xor, one multiply, one
+// xor-shift. For a fixed w it is a bijection of h, and for a fixed h a
+// bijection of w (the multiplier is odd; x ^ x>>32 is its own inverse), so
+// a chain loses no information to a single word. The xor-shift carries the
+// product's high bits, which depend on every bit of h^w, down into the low
+// bits that the next multiply spreads upward again. It replaced a byte-wise
+// FNV-1a step (FNV64), eight dependent multiplies per word.
+func Mix(h, w uint64) uint64 {
+	h = (h ^ w) * mixMul
+	return h ^ h>>32
 }
 
 // Workers resolves a requested worker count for a run of shards shards:
@@ -148,53 +153,115 @@ func Workers(workers, shards int) int {
 	return min(workers, shards)
 }
 
+// ShardPool is the one shard pool of the engines: Workers(workers, shards)
+// goroutines claim shards [0, shards) in ascending order from one atomic
+// counter. A job embeds it, so that a run allocates its shared state once.
+// A pool runs one job; the zero value is ready.
+type ShardPool struct {
+	next   atomic.Int64
+	failed atomic.Bool
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	low    int   // rank of err: its shard, or -1 for a failed Start
+	err    error // lowest-ranked failure
+}
+
+// ShardJob is the work a ShardPool runs.
+type ShardJob interface {
+	// Start prepares worker w on its own goroutine, before it claims a
+	// shard: cursors, sketches. An error stops the pool.
+	Start(w int) error
+	// Shard processes shard k on worker w.
+	Shard(w, k int) error
+}
+
+// Run runs job over shards [0, shards) on Workers(workers, shards)
+// goroutines (workers <= 0: GOMAXPROCS). A failure stops workers only
+// between shards, so every shard below a failed one completes. Run returns
+// the first Start error, or else the lowest failed shard's error, which
+// does not depend on the worker count.
+func (p *ShardPool) Run(workers, shards int, job ShardJob) error {
+	if shards <= 0 {
+		return nil
+	}
+	workers = Workers(workers, shards)
+	for w := 0; w < workers; w++ {
+		p.wg.Add(1)
+		go p.work(w, shards, job)
+	}
+	p.wg.Wait()
+	return p.err
+}
+
+func (p *ShardPool) work(w, shards int, job ShardJob) {
+	defer p.wg.Done()
+	if err := job.Start(w); err != nil {
+		p.fail(-1, err)
+		return
+	}
+	for !p.failed.Load() {
+		k := int(p.next.Add(1)) - 1
+		if k >= shards {
+			return
+		}
+		if err := job.Shard(w, k); err != nil {
+			p.fail(k, err)
+		}
+	}
+}
+
+func (p *ShardPool) fail(rank int, err error) {
+	p.failed.Store(true)
+	p.mu.Lock()
+	if p.err == nil || rank < p.low {
+		p.low, p.err = rank, err
+	}
+	p.mu.Unlock()
+}
+
 // ShardFunc folds shard k into f, opened by the pool, and returns it.
 type ShardFunc func(k int, f Fold) (Fold, error)
 
-// FoldShards folds shards [0, shards > 0) on a pool of workers (<= 0:
-// GOMAXPROCS) and merges them. start runs on each worker's goroutine and
-// returns its step, which closes over the worker's cursors. Shards are
-// claimed in ascending order and a failure stops workers only between
-// shards, so every shard below a failed one completes and MergeFolds
-// finds the lowest failure.
-func FoldShards(workers, shards int, l Layout, start func() ShardFunc) (Fold, error) {
-	folds := make([]Fold, shards)
-	sketches := make([]Sketches, Workers(workers, shards))
-	errs := make([]error, len(sketches))
-	// One allocation for the state every worker shares, not one each.
-	pool := new(struct {
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	})
-	for w := range sketches {
-		pool.wg.Add(1)
-		go func(w int) {
-			defer pool.wg.Done()
-			if sketches[w], errs[w] = l.New(); errs[w] != nil {
-				pool.failed.Store(true)
-				return
-			}
-			step := start()
-			for !pool.failed.Load() {
-				k := int(pool.next.Add(1)) - 1
-				if k >= shards {
-					return
-				}
-				f, err := step(k, sketches[w].Open())
-				if err != nil {
-					f.Fail(err)
-					pool.failed.Store(true)
-				}
-				folds[k] = f
-			}
-		}(w)
+// foldJob is FoldShards' run: each worker builds its own sketch pair and
+// its engine step on its own goroutine.
+type foldJob struct {
+	ShardPool
+	l        Layout
+	start    func() ShardFunc
+	steps    []ShardFunc
+	sketches []Sketches
+	folds    []Fold
+}
+
+func (j *foldJob) Start(w int) (err error) {
+	if j.sketches[w], err = j.l.New(); err != nil {
+		return err
 	}
-	pool.wg.Wait()
-	if err := errors.Join(errs...); err != nil {
+	j.steps[w] = j.start()
+	return nil
+}
+
+func (j *foldJob) Shard(w, k int) (err error) {
+	j.folds[k], err = j.steps[w](k, j.sketches[w].Open())
+	return err
+}
+
+// FoldShards folds shards [0, shards > 0) on a ShardPool of workers (<= 0:
+// GOMAXPROCS) and merges them. start runs on each worker's goroutine and
+// returns its step, which closes over the worker's cursors.
+func FoldShards(workers, shards int, l Layout, start func() ShardFunc) (Fold, error) {
+	n := Workers(workers, shards)
+	j := &foldJob{
+		l:        l,
+		start:    start,
+		steps:    make([]ShardFunc, n),
+		sketches: make([]Sketches, n),
+		folds:    make([]Fold, shards),
+	}
+	if err := j.Run(workers, shards, j); err != nil {
 		return Fold{}, err
 	}
-	return MergeFolds(folds, sketches)
+	return MergeFolds(j.folds, j.sketches)
 }
 
 // MergeFolds returns the lowest failed shard's error, which does not depend
@@ -207,7 +274,7 @@ func MergeFolds(folds []Fold, sketches []Sketches) (Fold, error) {
 			return Fold{}, folds[k].err
 		}
 	}
-	total := Fold{Digest: FNVOffset, sk: &sketches[0]}
+	total := Fold{Digest: DigestOffset, sk: &sketches[0]}
 	for k := range folds {
 		f := &folds[k]
 		total.A.Merge(f.A)
@@ -215,7 +282,7 @@ func MergeFolds(folds []Fold, sketches []Sketches) (Fold, error) {
 		total.SumA += f.SumA
 		total.SumB += f.SumB
 		total.N += f.N
-		total.Digest = FNV64(total.Digest, f.Digest)
+		total.Digest = Mix(total.Digest, f.Digest)
 	}
 	for _, sk := range sketches[1:] {
 		if err := errors.Join(total.sk.A.Merge(sk.A), total.sk.B.Merge(sk.B)); err != nil {

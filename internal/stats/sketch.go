@@ -5,11 +5,13 @@ import (
 	"math"
 )
 
-// Sketch is a mergeable, bounded-memory summary of a sample stream: exact
-// Welford moments (an Online) plus a log-bucketed quantile histogram. It
-// answers the same questions as Summarize — mean, spread, extremes and tail
-// quantiles — without retaining the samples, so a million-request
-// measurement costs the same memory as a thousand-request one.
+// Sketch is a mergeable, bounded-memory quantile summary of a sample
+// stream: a log-bucketed histogram plus the exact count and extremes, which
+// is all Quantile reads. It answers Summarize's tail questions without
+// retaining the samples, so a million-request measurement costs the same
+// memory as a thousand-request one. It keeps no moments: the measurement
+// engines fold those into an Online per shard, in shard order (SummaryOf),
+// and a mean here would cost every Add a division nobody reads.
 //
 // Bucket layout: observations at or below Lo land in a dedicated zero
 // bucket (quantiles report them as 0 — delay streams are mostly exact
@@ -24,13 +26,13 @@ import (
 // x's bucket from its exponent and leading mantissa bits plus a boundary
 // comparison or two.
 //
-// Merging is exact for the bucket counts (integer adds, so any merge order
-// and grouping yields identical quantiles) and order-insensitive up to
-// floating-point rounding for the moments (Online.Merge).
+// Merging is exact (integer adds, minima and maxima), so any merge order
+// and grouping yields identical quantiles.
 type Sketch struct {
-	moments Online
-	zero    int64   // observations <= lo
-	bins    []int64 // bins[i] counts observations in (lo*gamma^i, lo*gamma^(i+1)]
+	n        int64 // observations
+	min, max float64
+	zero     int64   // observations <= lo
+	bins     []int64 // bins[i] counts observations in (lo*gamma^i, lo*gamma^(i+1)]
 	// bounds[i] is the bit pattern of the smallest float64 in bucket i+1.
 	// Positive floats order like their bit patterns, so bucket search is
 	// integer comparison.
@@ -220,7 +222,18 @@ func (f bucketFormula) boundary(i int, x float64) uint64 {
 
 // Add folds one observation into the sketch.
 func (s *Sketch) Add(x float64) {
-	s.moments.Add(x)
+	// Online.Add's extremes rule, so Quantile clamps as it always has.
+	s.n++
+	if s.n == 1 {
+		s.min, s.max = x, x
+	} else {
+		if x < s.min {
+			s.min = x
+		}
+		if x > s.max {
+			s.max = x
+		}
+	}
 	if x <= s.lo {
 		s.zero++
 		return
@@ -243,17 +256,13 @@ func (s *Sketch) index(x float64) int {
 }
 
 // N returns the observation count.
-func (s *Sketch) N() int64 { return s.moments.N() }
-
-// Moments returns a copy of the exact moment accumulator.
-func (s *Sketch) Moments() Online { return s.moments }
+func (s *Sketch) N() int64 { return s.n }
 
 // Bins returns the bucket count (the sketch's fixed memory footprint).
 func (s *Sketch) Bins() int { return len(s.bins) }
 
 // Merge folds other into s. Both sketches must share a bucket layout
-// (same lo, gamma and bucket count). Bucket counts merge exactly; moments
-// merge via Online.Merge, which is order-insensitive up to rounding.
+// (same lo, gamma and bucket count). Everything merges exactly.
 func (s *Sketch) Merge(other *Sketch) error {
 	if other == nil {
 		return nil
@@ -266,7 +275,22 @@ func (s *Sketch) Merge(other *Sketch) error {
 		return fmt.Errorf("stats: merging incompatible sketches (%d/%g/%g vs %d/%g/%g)",
 			len(s.bins), s.lo, s.gamma, len(other.bins), other.lo, other.gamma)
 	}
-	s.moments.Merge(other.moments)
+	if other.n == 0 {
+		return nil
+	}
+	// Online.Merge's extremes rule; the builtin min and max would differ
+	// on NaN and signed zeros.
+	if s.n == 0 {
+		s.min, s.max = other.min, other.max
+	} else {
+		if other.min < s.min {
+			s.min = other.min
+		}
+		if other.max > s.max {
+			s.max = other.max
+		}
+	}
+	s.n += other.n
 	s.zero += other.zero
 	for i, c := range other.bins {
 		s.bins[i] += c
@@ -280,7 +304,7 @@ func (s *Sketch) Merge(other *Sketch) error {
 // observed [Min, Max]. The estimate is within a factor of gamma of the
 // exact order statistic; observations at or below lo report as 0.
 func (s *Sketch) Quantile(p float64) float64 {
-	n := s.moments.N()
+	n := s.n
 	if n == 0 {
 		return 0
 	}
@@ -298,23 +322,16 @@ func (s *Sketch) Quantile(p float64) float64 {
 		cum += c
 		if rank < cum {
 			v := s.lo * math.Pow(s.gamma, float64(i)+0.5)
-			if v < s.moments.Min() {
-				v = s.moments.Min()
+			if v < s.min {
+				v = s.min
 			}
-			if v > s.moments.Max() {
-				v = s.moments.Max()
+			if v > s.max {
+				v = s.max
 			}
 			return v
 		}
 	}
-	return s.moments.Max()
-}
-
-// Summary emits the five-number-plus profile without retaining samples:
-// the moment fields (N, Mean, StdDev, Min, Max) are exact, the quantiles
-// are bucket estimates per Quantile.
-func (s *Sketch) Summary() Summary {
-	return SummaryOf(s.moments, s)
+	return s.max
 }
 
 // SummaryOf emits the profile of a stream whose moments were folded into o
@@ -332,9 +349,4 @@ func SummaryOf(o Online, sk *Sketch) Summary {
 		P95:    sk.Quantile(0.95),
 		P99:    sk.Quantile(0.99),
 	}
-}
-
-// String renders the summary on one line.
-func (s *Sketch) String() string {
-	return s.Summary().String()
 }
